@@ -1,10 +1,12 @@
 """Process-wide control for the pure-function memo caches.
 
 The numeric and timing hot paths memoize derived values that are pure
-functions of hashable inputs — im2col/window gather indices keyed by
-layer shape (:mod:`repro.runtime.ops`), per-layer workloads keyed by a
-layer digest (:mod:`repro.hardware.workload`), and analytic kernel
-costs keyed by (device, kernel, workload, clock, sm_fraction)
+functions of hashable inputs — depthwise/average-pooling window gather
+and deconvolution scatter indices keyed by layer shape
+(:mod:`repro.runtime.ops`; im2col and max pooling copy strided kernel
+taps and need no index), per-layer workloads keyed by a layer digest
+(:mod:`repro.hardware.workload`), and analytic kernel costs keyed by
+(device, kernel, workload, clock, sm_fraction)
 (:mod:`repro.hardware.cost`).  Purity is the whole argument: a cache
 hit returns exactly the value the uncached computation would produce,
 so caching can never change a result byte.  The acceptance tests in

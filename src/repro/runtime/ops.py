@@ -18,10 +18,19 @@ semantics are the point of this module:
   calibration range must not silently widen its quantization step);
   accumulation is exact in int32, then dequantized.
 
-The spatial ops are loop-free: im2col patches, depthwise/pooling
-windows, and deconvolution scatters all go through flat gather/scatter
-index tensors that are pure functions of the layer shape and are
-memoized with ``lru_cache`` (the tinygrad idiom).  Caching never
+A precision GEMM is two steps.  The *operand* step is elementwise —
+the FP16 round trip, or INT8 activation quantization — so ``conv2d``
+applies it to its input before im2col rather than to the ``k*k``-times
+larger patch matrix.  The *product* step, shared by ``conv2d``,
+``fully_connected`` and ``deconv2d``, rounds or quantizes the weights,
+runs the GEMM and adds the bias in place.
+
+The spatial ops loop only over kernel taps, never over pixels.  im2col
+and max pooling copy or reduce one strided slice per tap of a padded
+copy of the input; depthwise convolution and average pooling gather
+their windows through flat index tensors; deconvolution scatters its
+stamps through one.  The index tensors are pure functions of the layer
+shape, memoized with ``lru_cache`` (the tinygrad idiom).  Caching never
 changes a result byte — an index tensor is the same whether it came
 from the cache or was rebuilt — and :mod:`repro.caching` provides the
 global off switch the byte-identity tests flip.
@@ -30,7 +39,7 @@ global off switch the byte-identity tests flip.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,36 +64,19 @@ def _chunk_bounds(k: int, split_k: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=512)
-def _im2col_index(
-    c: int, h: int, w: int, kernel: int, stride: int, out_h: int, out_w: int
-) -> np.ndarray:
-    """Flat gather indices unfolding a padded ``(C, h, w)`` map into
-    im2col patch rows: shape ``(out_h*out_w, c*kernel*kernel)``, rows
-    ordered over output pixels, columns ordered (channel, ky, kx)."""
-    chan = np.arange(c, dtype=np.int32)[:, None, None] * (h * w)
-    ky = np.arange(kernel, dtype=np.int32)[None, :, None] * w
-    kx = np.arange(kernel, dtype=np.int32)[None, None, :]
-    offsets = (chan + ky + kx).reshape(1, -1)
-    oy = np.arange(out_h, dtype=np.int32)[:, None] * (stride * w)
-    ox = np.arange(out_w, dtype=np.int32)[None, :] * stride
-    base = (oy + ox).reshape(-1, 1)
-    idx = base + offsets
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=512)
 def _channel_window_index(
     c: int, h: int, w: int, kernel: int, stride: int, out_h: int, out_w: int
 ) -> np.ndarray:
-    """Flat gather indices producing per-channel sliding windows:
-    shape ``(c, out_h, out_w, kernel*kernel)`` (depthwise/pooling
-    layout, window elements ordered (ky, kx))."""
-    base = _im2col_index.__wrapped__(c, h, w, kernel, stride, out_h, out_w)
-    k2 = kernel * kernel
-    idx = np.ascontiguousarray(
-        base.reshape(out_h, out_w, c, k2).transpose(2, 0, 1, 3)
-    )
+    """Flat gather indices producing per-channel sliding windows of a
+    padded ``(C, h, w)`` map: shape ``(c, out_h, out_w, kernel*kernel)``
+    (depthwise/average-pooling layout, window elements ordered
+    (ky, kx))."""
+    chan = np.arange(c, dtype=np.int32)[:, None, None, None] * (h * w)
+    oy = np.arange(out_h, dtype=np.int32)[None, :, None, None] * (stride * w)
+    ox = np.arange(out_w, dtype=np.int32)[None, None, :, None] * stride
+    ky = np.arange(kernel, dtype=np.int32)[:, None] * w
+    kx = np.arange(kernel, dtype=np.int32)[None, :]
+    idx = chan + oy + ox + (ky + kx).reshape(1, 1, 1, -1)
     idx.setflags(write=False)
     return idx
 
@@ -137,7 +129,6 @@ def _detection_cell_centers(
 
 for _fn in (
     _chunk_bounds,
-    _im2col_index,
     _channel_window_index,
     _avg_pool_divisors,
     _deconv_scatter_index,
@@ -154,41 +145,36 @@ def _index(cached_fn, *key):
 
 
 # ----------------------------------------------------------------------
-# precision-aware matmul core
+# precision-aware matmul core: an elementwise operand step, then a
+# product step
 # ----------------------------------------------------------------------
-def _matmul_fp16_split(
-    a: np.ndarray, b: np.ndarray, split_k: int
-) -> np.ndarray:
-    """``a @ b`` with FP16 storage and ``split_k``-chunked reduction.
+#: Longest INT8 reduction one float32 GEMM sums exactly: with |q| <= 127
+#: every partial sum is an integer of magnitude at most K * 127**2, and
+#: float32 represents every integer up to 2**24.
+_INT8_EXACT_K = (1 << 24) // (127 * 127)
 
-    ``a`` is (M, K), ``b`` is (K, N).  Each chunk's product is computed
-    in float32 (tensor cores accumulate wider than they store), rounded
-    to float16, and the chunk partials are summed in float16.
-    """
-    a16 = a.astype(np.float16)
-    b16 = b.astype(np.float16)
-    k = a16.shape[1]
-    split_k = max(1, min(split_k, k))
-    if split_k == 1:
-        partial = (
-            a16.astype(np.float32) @ b16.astype(np.float32)
-        ).astype(np.float16)
-        # ``+ 0`` replicates accumulating into a zero buffer (it
-        # normalizes -0.0 like the multi-chunk path does).
-        return (partial + np.float16(0.0)).astype(np.float32)
-    acc = np.zeros((a16.shape[0], b16.shape[1]), dtype=np.float16)
-    for lo, hi in _index(_chunk_bounds, k, split_k):
-        partial = (
-            a16[:, lo:hi].astype(np.float32) @ b16[lo:hi, :].astype(np.float32)
-        ).astype(np.float16)
-        acc = acc + partial  # fp16 + fp16 stays fp16
-    return acc.astype(np.float32)
+
+def _check_int8_scales(
+    scale_in: Optional[float], scale_w: Optional[float]
+) -> None:
+    """The INT8 scale check every INT8 op runs before quantizing: both
+    calibration scales must be finite and > 0."""
+    for scale in (scale_in, scale_w):
+        if scale is None or not np.isfinite(scale) or not scale > 0:
+            raise ValueError(
+                "INT8 math requires calibrated scales that are finite and "
+                f"positive, got int8_scale_in={scale_in!r}, "
+                f"int8_scale_w={scale_w!r}"
+            )
+
+
+def _fp16_round(x: np.ndarray) -> np.ndarray:
+    """Round to float16 storage and widen back to float32 (exact)."""
+    return x.astype(np.float16).astype(np.float32)
 
 
 def _quantize_sym(x: np.ndarray, scale: float) -> np.ndarray:
     """Symmetric int8 quantization: round(x/scale) clipped to [-127,127]."""
-    if scale <= 0:
-        raise ValueError(f"int8 scale must be positive, got {scale}")
     return np.clip(np.rint(x / scale), -127, 127)
 
 
@@ -207,70 +193,165 @@ def _per_channel_scales(absmax: np.ndarray, scale_cap: float) -> np.ndarray:
     )
 
 
+def _operand(x: np.ndarray, math: LayerMath) -> np.ndarray:
+    """The operand step: the float32 values a kernel of ``math``'s
+    precision computes with — ``x`` itself at FP32, its float16 round
+    trip at FP16, its int8 levels at INT8.  Elementwise, so it commutes
+    with im2col."""
+    if math.precision is DataType.FP32:
+        return x.astype(np.float32, copy=False)
+    if math.precision is DataType.FP16:
+        return _fp16_round(x)
+    if math.precision is DataType.INT8:
+        _check_int8_scales(math.int8_scale_in, math.int8_scale_w)
+        return _quantize_sym(x, math.int8_scale_in).astype(
+            np.float32, copy=False
+        )
+    raise ValueError(f"unsupported precision {math.precision}")
+
+
+def _matmul_fp16_split(
+    a: np.ndarray, b: np.ndarray, split_k: int
+) -> np.ndarray:
+    """``a @ b`` for float16-valued float32 operands with a
+    ``split_k``-chunked reduction.
+
+    ``a`` is (M, K), ``b`` is (K, N).  Each chunk's product is computed
+    in float32 (tensor cores accumulate wider than they store), rounded
+    to float16, and the chunk partials are summed in float16.
+    """
+    k = a.shape[1]
+    split_k = max(1, min(split_k, k))
+    if split_k == 1:
+        partial = (a @ b).astype(np.float16)
+        # ``+ 0`` replicates accumulating into a zero buffer (it
+        # normalizes -0.0 like the multi-chunk path does).
+        return (partial + np.float16(0.0)).astype(np.float32)
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float16)
+    for lo, hi in _index(_chunk_bounds, k, split_k):
+        partial = (a[:, lo:hi] @ b[lo:hi, :]).astype(np.float16)
+        acc = acc + partial  # fp16 + fp16 stays fp16
+    return acc.astype(np.float32)
+
+
 def _matmul_int8(
-    a: np.ndarray,
+    qa: np.ndarray,
     b: np.ndarray,
     scale_a: float,
     scale_b: float,
 ) -> np.ndarray:
-    """``a @ b`` through int8 quantization with exact int32 accumulation.
+    """``qa @ b`` with exact integer accumulation, dequantized.
 
-    Activations (``a``) use the per-tensor scale from calibration;
-    weights (``b``) are quantized **per output channel** (per column),
-    as TensorRT does — per-tensor weight scales would let one large
-    channel destroy the resolution of all the others.  ``scale_b``
-    caps the per-channel scales (and channels without weights fall
-    back to it): see :func:`_per_channel_scales`.
+    ``qa`` holds activations already quantized with the per-tensor
+    calibration scale ``scale_a`` (:func:`_operand`).  Weights (``b``)
+    are quantized **per output channel** (per column), as TensorRT
+    does — per-tensor weight scales would let one large channel destroy
+    the resolution of all the others.  ``scale_b`` caps the per-channel
+    scales (and channels without weights fall back to it): see
+    :func:`_per_channel_scales`.
+
+    The GEMM runs in float32 over K-chunks of at most
+    :data:`_INT8_EXACT_K`, summed in float64, so every sum is the exact
+    integer an int32 accumulator would hold.
     """
-    qa = _quantize_sym(a, scale_a)
+    _check_int8_scales(scale_a, scale_b)
     col_absmax = np.abs(b).max(axis=0)
     col_scales = _per_channel_scales(col_absmax, scale_b)
-    qb = np.clip(np.rint(b / col_scales[None, :]), -127, 127)
-    # float64 holds int32-range products exactly.
-    acc = qa.astype(np.float64) @ qb.astype(np.float64)
+    qb = np.clip(np.rint(b / col_scales[None, :]), -127, 127).astype(
+        np.float32, copy=False
+    )
+    step = _INT8_EXACT_K
+    acc = (qa[:, :step] @ qb[:step]).astype(np.float64)
+    for lo in range(step, qa.shape[1], step):
+        acc += qa[:, lo : lo + step] @ qb[lo : lo + step]
     return (acc * (scale_a * col_scales[None, :])).astype(np.float32)
+
+
+def _product(
+    a: np.ndarray,
+    b: np.ndarray,
+    bias: Optional[np.ndarray],
+    math: LayerMath,
+) -> np.ndarray:
+    """The product step: ``a @ b + bias`` as a fresh (M, N) float32
+    array, for an ``a`` that went through :func:`_operand` and raw
+    weights ``b``.
+
+    float32 operands reach BLAS uncopied, in the memory order they
+    arrive in: BLAS bits depend on each operand's C/F order but not on
+    its leading dimension, so split-K column slices go in as views.
+    """
+    if math.precision is DataType.FP32:
+        out = a @ b.astype(np.float32, copy=False)
+    elif math.precision is DataType.FP16:
+        out = _matmul_fp16_split(a, _fp16_round(b), math.split_k)
+    elif math.precision is DataType.INT8:
+        out = _matmul_int8(a, b, math.int8_scale_in, math.int8_scale_w)
+    else:
+        raise ValueError(f"unsupported precision {math.precision}")
+    if bias is not None:
+        out += bias.astype(np.float32, copy=False).reshape(-1)
+    return out
 
 
 def precision_matmul(
     a: np.ndarray, b: np.ndarray, math: LayerMath
 ) -> np.ndarray:
-    """Dispatch ``a @ b`` according to a :class:`LayerMath`."""
-    if math.precision is DataType.FP32:
-        return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float32)
-    if math.precision is DataType.FP16:
-        return _matmul_fp16_split(a, b, math.split_k)
-    if math.precision is DataType.INT8:
-        if math.int8_scale_in is None or math.int8_scale_w is None:
-            raise ValueError("INT8 math requires calibrated scales")
-        return _matmul_int8(a, b, math.int8_scale_in, math.int8_scale_w)
-    raise ValueError(f"unsupported precision {math.precision}")
+    """``a @ b`` under a :class:`LayerMath`: the operand step on ``a``,
+    then the product step."""
+    return _product(_operand(a, math), b, None, math)
 
 
 # ----------------------------------------------------------------------
 # spatial helpers
 # ----------------------------------------------------------------------
-def _pad_nchw(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
+def _pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-        mode="constant",
-        constant_values=value,
-    )
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+def _tap_slices(
+    kernel: int, stride: int, out_h: int, out_w: int
+) -> Iterator[Tuple[int, int, slice, slice]]:
+    """For each kernel tap ``(ky, kx)``, in (ky, kx) order, the row and
+    column slices of a padded map that the tap reads across all output
+    pixels."""
+    span_h = (out_h - 1) * stride + 1
+    span_w = (out_w - 1) * stride + 1
+    for ky in range(kernel):
+        for kx in range(kernel):
+            rows = slice(ky, ky + span_h, stride)
+            cols = slice(kx, kx + span_w, stride)
+            yield ky, kx, rows, cols
 
 
 def im2col(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``x`` (N,C,H,W) into (N*OH*OW, C*k*k) patch rows via a
-    single flat gather with a cached index tensor."""
-    x = _pad_nchw(x, pad)
+    """Unfold ``x`` (N,C,H,W) into (N*OH*OW, C*k*k) patch rows, columns
+    ordered (channel, ky, kx): one strided copy per kernel tap from a
+    zero-padded NHWC copy of ``x``.
+
+    The matrix is C-ordered, except that a single output pixel per
+    image gives an F-ordered (N, C*k*k) matrix.  GEMM bits depend on
+    operand order, and that is the order the gather-based im2col left
+    there.
+    """
     n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    idx = _index(_im2col_index, c, h, w, kernel, stride, out_h, out_w)
-    patches = x.reshape(n, -1)[:, idx]
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    shape = (n, out_h, out_w, c, kernel, kernel)
+    if out_h * out_w == 1:
+        patches = np.empty(shape[1:] + shape[:1], dtype=x.dtype).transpose(
+            5, 0, 1, 2, 3, 4
+        )
+    else:
+        patches = np.empty(shape, dtype=x.dtype)
+    for ky, kx, rows, cols in _tap_slices(kernel, stride, out_h, out_w):
+        patches[..., ky, kx] = xp[:, rows, cols]
     return patches.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
@@ -304,13 +385,12 @@ def conv2d(
         raise ValueError(
             f"conv expects {in_c} input channels, got {x.shape[1]}"
         )
-    cols, out_h, out_w = im2col(x, k, stride, pad)
+    cols, out_h, out_w = im2col(_operand(x, math), k, stride, pad)
     w2d = kernel.reshape(out_c, in_c * k * k).T  # (C*k*k, OutC)
-    out = precision_matmul(cols, w2d, math)
-    out = out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1).astype(np.float32)
-    return np.ascontiguousarray(out.astype(np.float32, copy=False))
+    out = _product(cols, w2d, bias, math)
+    return np.ascontiguousarray(
+        out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
+    )
 
 
 def depthwise_conv2d(
@@ -336,10 +416,7 @@ def depthwise_conv2d(
     windows = _gather_channel_windows(xp, k, stride, out_h, out_w)
     w = kernel[:, 0].reshape(c, 1, 1, k * k)
     if math.precision is DataType.FP16:
-        prod = (
-            windows.astype(np.float16).astype(np.float32)
-            * w.astype(np.float16).astype(np.float32)
-        )
+        prod = _fp16_round(windows) * _fp16_round(w)
         k2 = k * k
         split_k = max(1, min(math.split_k, k2))
         acc = np.zeros(prod.shape[:4], dtype=np.float16)
@@ -348,6 +425,7 @@ def depthwise_conv2d(
             acc = acc + partial  # fp16 + fp16 stays fp16
         out = acc.astype(np.float32)
     elif math.precision is DataType.INT8:
+        _check_int8_scales(math.int8_scale_in, math.int8_scale_w)
         qx = _quantize_sym(windows, math.int8_scale_in)
         # Per-channel weight scales (TensorRT convention), capped at
         # the calibrated per-tensor scale.
@@ -430,18 +508,22 @@ def fully_connected(
 ) -> np.ndarray:
     """Dense layer. ``kernel`` is (OutUnits, InUnits); x is flattened."""
     flat = x.reshape(x.shape[0], -1)
-    out = precision_matmul(flat, kernel.T, math)
-    if bias is not None:
-        out = out + bias.reshape(1, -1).astype(np.float32)
-    return out.astype(np.float32, copy=False)
+    return _product(_operand(flat, math), kernel.T, bias, math)
 
 
 def max_pool(
     x: np.ndarray, kernel: int, stride: int, pad: int, same: bool = False
 ) -> np.ndarray:
-    in_h, in_w = x.shape[2], x.shape[3]
-    xp = _pad_nchw(x, pad, value=-np.inf)
-    n, c, h, w = xp.shape
+    """Max pooling as a running ``np.maximum`` over the ``k*k`` strided
+    taps of a ``(C, H, W, N)`` copy of the ``-inf``-padded input.
+
+    The result is returned as an ``(N, C, OH, OW)`` view whose memory
+    order is ``(C, OH, OW, N)``.  Consumers see those strides —
+    ``fully_connected`` hands them to BLAS and numpy reductions follow
+    them — so the layout is part of the op's contract.
+    """
+    n, c, in_h, in_w = x.shape
+    h, w = in_h + 2 * pad, in_w + 2 * pad
     if same:
         out_h = -(-h // stride)
         out_w = -(-w // stride)
@@ -452,15 +534,16 @@ def max_pool(
     # Pad on the right so ceil-mode windows are complete.
     need_h = (out_h - 1) * stride + kernel
     need_w = (out_w - 1) * stride + kernel
-    if need_h > h or need_w > w:
-        xp = np.pad(
-            xp,
-            ((0, 0), (0, 0), (0, max(0, need_h - h)), (0, max(0, need_w - w))),
-            mode="constant",
-            constant_values=-np.inf,
-        )
-    windows = _gather_channel_windows(xp, kernel, stride, out_h, out_w)
-    return windows.max(axis=-1).astype(np.float32, copy=False)
+    xp = np.full((c, max(h, need_h), max(w, need_w), n), -np.inf, dtype=x.dtype)
+    xp[:, pad : pad + in_h, pad : pad + in_w] = x.transpose(1, 2, 3, 0)
+    taps = (
+        xp[:, rows, cols]
+        for _ky, _kx, rows, cols in _tap_slices(kernel, stride, out_h, out_w)
+    )
+    out = next(taps).copy()
+    for tap in taps:
+        np.maximum(out, tap, out=out)
+    return out.transpose(3, 0, 1, 2).astype(np.float32, copy=False)
 
 
 def avg_pool(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
@@ -473,7 +556,7 @@ def avg_pool(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     instead of being deflated by phantom zeros.
     """
     in_h, in_w = x.shape[2], x.shape[3]
-    xp = _pad_nchw(x, pad, value=0.0)
+    xp = _pad_nchw(x, pad)
     n, c, h, w = xp.shape
     out_h, out_w = pool_output_hw(in_h, in_w, kernel, stride, pad)
     need_h = (out_h - 1) * stride + kernel
@@ -617,16 +700,20 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def nms(
     boxes: np.ndarray, scores: np.ndarray, iou_threshold: float
 ) -> List[int]:
-    """Greedy non-maximum suppression; returns kept indices."""
+    """Greedy non-maximum suppression; returns kept indices.
+
+    The IoU of every pair is computed once, as one ``K x K`` matrix;
+    the greedy loop then only reads its rows.
+    """
     order = np.argsort(-scores)
+    overlaps = box_iou(boxes[:, None, :], boxes[None, :, :]) >= iou_threshold
     keep: List[int] = []
     suppressed = np.zeros(len(boxes), dtype=bool)
     for idx in order:
         if suppressed[idx]:
             continue
         keep.append(int(idx))
-        ious = box_iou(boxes[idx][None, :], boxes).reshape(-1)
-        suppressed |= ious >= iou_threshold
+        suppressed |= overlaps[idx]
         suppressed[idx] = True
     return keep
 

@@ -12,9 +12,13 @@ on the previous implementations:
   per-pixel over the channel axis.
 * FP16 ``depthwise_conv2d`` ignored ``math.split_k`` and always
   reduced its ``k*k`` window in one chunk.
+* INT8 scales were validated per op, and incompletely: ``depthwise_conv2d``
+  without scales raised ``TypeError``, and a NaN input scale or a zero or
+  negative weight scale was accepted.
 """
 
 import numpy as np
+import pytest
 
 from repro.graph.ir import DataType
 from repro.runtime import ops
@@ -144,3 +148,50 @@ class TestDepthwiseFp16SplitK:
         )
         expected = np.float32(np.float16(np.full(9, prod).sum()))
         assert self._run(1).item() == expected
+
+
+def _int8_op(name, math):
+    """Run one INT8-capable op on a tiny input under ``math``."""
+    x = np.ones((1, 2, 3, 3), dtype=np.float32)
+    if name == "conv2d":
+        return ops.conv2d(x, np.ones((2, 2, 3, 3), np.float32), None, 1, 1, math)
+    if name == "depthwise_conv2d":
+        return ops.depthwise_conv2d(
+            x, np.ones((2, 1, 3, 3), np.float32), None, 1, 1, math
+        )
+    if name == "deconv2d":
+        return ops.deconv2d(x, np.ones((2, 2, 2, 2), np.float32), None, 2, math)
+    return ops.fully_connected(x, np.ones((4, 18), np.float32), None, math)
+
+
+INT8_OPS = ("conv2d", "depthwise_conv2d", "fully_connected", "deconv2d")
+
+
+@pytest.mark.parametrize("op", INT8_OPS)
+class TestInt8ScaleValidation:
+    """Every INT8 op runs the same check: both scales finite and > 0."""
+
+    def _raises(self, op, scale_in, scale_w):
+        math = LayerMath(
+            precision=DataType.INT8,
+            int8_scale_in=scale_in,
+            int8_scale_w=scale_w,
+        )
+        with pytest.raises(ValueError, match="finite and positive"):
+            _int8_op(op, math)
+
+    def test_missing_scales(self, op):
+        # depthwise_conv2d used to raise TypeError ('<=' on None).
+        self._raises(op, None, None)
+
+    def test_nan_input_scale(self, op):
+        # conv2d and depthwise_conv2d accepted NaN (NaN <= 0 is False).
+        self._raises(op, float("nan"), 0.1)
+
+    def test_zero_weight_scale(self, op):
+        # Accepted with a divide-by-zero warning and an all-zero layer.
+        self._raises(op, 0.1, 0.0)
+
+    def test_negative_weight_scale(self, op):
+        # Accepted silently.
+        self._raises(op, 0.1, -1.0)

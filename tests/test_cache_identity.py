@@ -1,13 +1,15 @@
 """Byte-identity acceptance suite for the hot-path caches.
 
-The memoization layers (index-tensor caches in :mod:`repro.runtime.ops`,
-workload/cost memos in :mod:`repro.hardware`, timeline skeletons in
-:func:`repro.hardware.gpu.simulate_inference`) are pure-function caches:
-with caching enabled and disabled, every engine must produce the *same
-output bytes* and the *same timeline*, draw for draw.  This suite runs
-zoo-representative graphs — LRN/concat (GoogLeNet), depthwise
-(MobileNet), deconvolution (FCN) — across batch {1, 8} and
-{FP32, FP16, INT8} and compares byte-exactly.
+The memoization layers (window-gather and scatter index caches in
+:mod:`repro.runtime.ops`, workload/cost memos in :mod:`repro.hardware`,
+timeline skeletons in :func:`repro.hardware.gpu.simulate_inference`)
+are pure-function caches: with caching enabled and disabled, every
+engine must produce the *same output bytes* and the *same timeline*,
+draw for draw.  This suite runs zoo-representative graphs — LRN/concat
+(GoogLeNet), depthwise (MobileNet), deconvolution (FCN) — across batch
+{1, 8} and {FP32, FP16, INT8} and compares byte-exactly.  im2col and
+max pooling copy strided kernel taps and cache nothing; their oracle is
+the gather implementation in ``tests/runtime/reference_ops.py``.
 """
 
 import numpy as np
