@@ -41,7 +41,9 @@ def save_plan(engine: Engine, path: Union[str, Path]) -> None:
 
     Like :meth:`TimingCache.save`, the write is atomic (temp file +
     :func:`os.replace`): a crashed or concurrent save never leaves a
-    truncated ``.plan`` behind.
+    truncated ``.plan`` behind.  Archive members are stored, not
+    deflated (see :func:`repro.graph.serialization.save_graph`); the
+    zip CRC-32 of every member still catches a damaged file on read.
     """
     path = Path(path)
     graph_buf = io.BytesIO()
@@ -92,7 +94,7 @@ def save_plan(engine: Engine, path: Union[str, Path]) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(
+            np.savez(
                 f,
                 __plan__=np.frombuffer(
                     json.dumps(doc).encode("utf-8"), dtype=np.uint8
@@ -115,7 +117,8 @@ def read_plan(path: Union[str, Path]) -> Tuple[Dict, Graph]:
 
     Unlike :func:`load_plan` this performs *no* interpretation beyond
     parsing — the linter uses it to audit a plan before trusting the
-    loader with it.
+    loader with it, then hands the same ``(doc, graph)`` to
+    :func:`engine_from_plan`.
     """
     with np.load(path, allow_pickle=False) as archive:
         doc = json.loads(bytes(archive["__plan__"]).decode("utf-8"))
@@ -125,7 +128,12 @@ def read_plan(path: Union[str, Path]) -> Tuple[Dict, Graph]:
 
 def load_plan(path: Union[str, Path]) -> Engine:
     """Reload an engine plan saved by :func:`save_plan`."""
-    doc, graph = read_plan(path)
+    return engine_from_plan(*read_plan(path))
+
+
+def engine_from_plan(doc: Dict, graph: Graph) -> Engine:
+    """Build the :class:`Engine` a plan document describes over its
+    embedded ``graph`` (the pair :func:`read_plan` returns)."""
     if doc.get("plan_version") != _PLAN_VERSION:
         raise ValueError(
             f"unsupported plan version {doc.get('plan_version')}"

@@ -20,7 +20,8 @@ answer as a subsystem:
   :class:`~repro.hardware.specs.DeviceSpec`, so repeated serving-path
   lookups skip even the deserialization cost.
 
-A store **hit** is lint-gated (:func:`repro.lint.lint_plan`): a
+A store **hit** is lint-gated (:func:`repro.lint.lint_and_load_plan`:
+one read of the plan is both audited and deserialized): a
 corrupt or tampered plan is evicted and rebuilt — but the rebuild
 reuses the entry's *sidecar timing cache*, so it binds the same
 tactics the shipped engine had (the Finding-2 mitigation).  Hits
@@ -52,7 +53,7 @@ import numpy as np
 
 from repro.engine.builder import BuilderConfig, EngineBuilder
 from repro.engine.engine import Engine
-from repro.engine.plan import load_plan, save_plan
+from repro.engine.plan import save_plan
 from repro.engine.timing_cache import (
     TIMING_CACHE_LOOKUP_US,
     TimingCache,
@@ -458,19 +459,17 @@ class EngineStore:
         kernel binding) — obtaining an engine from the store never
         pays the cold tactic auction.
         """
-        from repro.lint import lint_plan
+        from repro.lint import lint_and_load_plan
 
         if not self.meta_path(digest).exists():
             return None
-        plan = self.plan_path(digest)
-        report = lint_plan(plan)
-        if not report.ok:
+        _, engine = lint_and_load_plan(self.plan_path(digest))
+        if engine is None:
             # Corrupt/tampered artifact: purge the plan but *keep* the
             # sidecar timing cache so the rebuild binds the same
             # tactics (Finding-2 mitigation).
             self.evict(digest, keep_cache=True)
             return None
-        engine = load_plan(plan)
         engine.build_time_us = TIMING_CACHE_LOOKUP_US * max(
             1, engine.num_kernels
         )

@@ -13,6 +13,7 @@ kind it may encounter.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -296,34 +297,72 @@ class Graph:
     # ------------------------------------------------------------------
     def toposort(self) -> List[Layer]:
         """Layers in dependency order; raises :class:`GraphError` on
-        cycles or references to undefined tensors."""
-        produced = dict(self.input_specs)  # tensor name -> anything truthy
-        pending = list(self._layers.values())
-        ordered: List[Layer] = []
-        while pending:
-            progressed = False
-            still_pending = []
-            for layer in pending:
-                if all(t in produced for t in layer.inputs):
-                    ordered.append(layer)
-                    for out in layer.outputs:
-                        produced[out] = True
-                    progressed = True
-                else:
-                    still_pending.append(layer)
-            if not progressed:
-                missing = {
-                    t
-                    for layer in still_pending
-                    for t in layer.inputs
-                    if t not in produced
-                }
-                raise GraphError(
-                    f"graph {self.name!r} has a cycle or undefined tensors: "
-                    f"{sorted(missing)}"
-                )
-            pending = still_pending
+        cycles or references to undefined tensors.
+
+        The order is that of repeated insertion-order sweeps which take
+        every layer whose inputs are ready, the sweep's own earlier
+        picks included: layers sorted by (sweep, insertion index).
+        """
+        ordered, blocked = self.schedule()
+        if blocked:
+            produced = set(self.input_specs)
+            for layer in ordered:
+                produced.update(layer.outputs)
+            missing = {
+                t for layer in blocked for t in layer.inputs
+                if t not in produced
+            }
+            raise GraphError(
+                f"graph {self.name!r} has a cycle or undefined tensors: "
+                f"{sorted(missing)}"
+            )
         return ordered
+
+    def schedule(
+        self, ignore_undefined: bool = False
+    ) -> Tuple[List[Layer], List[Layer]]:
+        """``(ordered, blocked)``: the :meth:`toposort` order of every
+        layer that can run, and the layers that never can, in insertion
+        order.  With ``ignore_undefined`` a tensor that nothing defines
+        does not block its consumers, so ``blocked`` holds exactly the
+        layers on or downstream of a dependency cycle.
+
+        One pass in (sweep, insertion index) order off a heap: a layer
+        waits on each distinct input tensor not yet defined, and the
+        first producer of a tensor to run releases its waiters.  A
+        waiter inserted after that producer joins the producer's sweep,
+        one inserted before it the next.  O((V + E) log V).
+        """
+        layers = list(self._layers.values())
+        produced = {t for layer in layers for t in layer.outputs}
+        waiting: Dict[str, List[int]] = {}
+        blockers = [0] * len(layers)
+        sweep = [0] * len(layers)
+        heap: List[Tuple[int, int]] = []
+        for index, layer in enumerate(layers):
+            pending = set(layer.inputs).difference(self.input_specs)
+            if ignore_undefined:
+                pending &= produced
+            for t in pending:
+                waiting.setdefault(t, []).append(index)
+            blockers[index] = len(pending)
+            if not pending:
+                heap.append((0, index))  # ascending: already a heap
+        ordered: List[Layer] = []
+        while heap:
+            current, index = heapq.heappop(heap)
+            ordered.append(layers[index])
+            for out in layers[index].outputs:
+                for waiter in waiting.pop(out, ()):
+                    at = current if waiter > index else current + 1
+                    sweep[waiter] = max(sweep[waiter], at)
+                    blockers[waiter] -= 1
+                    if not blockers[waiter]:
+                        heapq.heappush(heap, (sweep[waiter], waiter))
+        blocked = [
+            layer for layer, count in zip(layers, blockers) if count
+        ]
+        return ordered, blocked
 
     def validate(self, allow_dead: bool = False) -> None:
         """Full structural check: acyclic, connected, outputs defined.

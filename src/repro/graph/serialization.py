@@ -46,7 +46,12 @@ def _graph_to_doc(graph: Graph) -> Dict:
 
 def save_graph(graph: Graph, path: Union[str, Path, io.IOBase]) -> None:
     """Serialize ``graph`` (topology + weights) to ``path`` — a
-    filesystem path or a writable binary file-like object (.npz)."""
+    filesystem path or a writable binary file-like object (.npz).
+
+    Members are stored, not deflated: deflate shrinks float32 weights by
+    only a few percent and costs most of the save.  :func:`load_graph`
+    reads either encoding.
+    """
     doc = _graph_to_doc(graph)
     arrays: Dict[str, np.ndarray] = {
         "__topology__": np.frombuffer(
@@ -57,10 +62,10 @@ def save_graph(graph: Graph, path: Union[str, Path, io.IOBase]) -> None:
         for key, value in layer.weights.items():
             arrays[f"w::{layer.name}::{key}"] = value
     if hasattr(path, "write"):
-        np.savez_compressed(path, **arrays)
+        np.savez(path, **arrays)
     else:
         with open(path, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            np.savez(f, **arrays)
 
 
 def load_graph(path: Union[str, Path, io.IOBase]) -> Graph:
@@ -106,14 +111,5 @@ def load_graph(path: Union[str, Path, io.IOBase]) -> Graph:
 def roundtrip_bytes(graph: Graph) -> bytes:
     """Serialize to an in-memory buffer; used for size accounting."""
     buf = io.BytesIO()
-    doc = _graph_to_doc(graph)
-    arrays: Dict[str, np.ndarray] = {
-        "__topology__": np.frombuffer(
-            json.dumps(doc).encode("utf-8"), dtype=np.uint8
-        )
-    }
-    for layer in graph.layers:
-        for key, value in layer.weights.items():
-            arrays[f"w::{layer.name}::{key}"] = value
-    np.savez_compressed(buf, **arrays)
+    save_graph(graph, buf)
     return buf.getvalue()

@@ -10,6 +10,7 @@ rule-based static analyzer:
 * :func:`lint_engine` — those plus binding and size-accounting rules
   over a built engine (family ``P``);
 * :func:`lint_plan` — two-stage audit of a serialized ``.plan`` file;
+  :func:`lint_and_load_plan` also returns the engine it audited;
 * :class:`PassInvariantGuard` — snapshot/lint invariant checking
   around optimizer passes (family ``V``), raising
   :class:`PassInvariantViolation` when a pass miscompiles;
@@ -63,6 +64,7 @@ from repro.lint.invariants import (
 from repro.lint.plan_rules import (
     ENGINE_RULES,
     PLAN_DOC_RULES,
+    lint_and_load_plan,
     lint_engine,
     lint_plan,
 )
@@ -139,6 +141,7 @@ __all__ = [
     "check_import",
     "lint_graph",
     "lint_engine",
+    "lint_and_load_plan",
     "lint_plan",
     "lint_flow",
     "lint_races",

@@ -82,6 +82,51 @@ _WINDOWED_KINDS = frozenset(
 _FP16_SAFE_ABSMAX = 1024.0
 
 
+def _on_cycle(edges: Dict[str, Set[str]]) -> Set[str]:
+    """Nodes of ``edges`` that lie on a cycle: members of a strongly
+    connected component of two or more, or with an edge to themselves.
+    Tarjan's algorithm with an explicit stack, O(V + E)."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
+    cyclic: Set[str] = set()
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(edges[succ])))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in edges[node]:
+                        cyclic.update(component)
+    return cyclic
+
+
 class GraphView:
     """Cached, exception-safe analysis over one graph."""
 
@@ -108,7 +153,11 @@ class GraphView:
     @property
     def defined(self) -> Set[str]:
         """Every tensor name with a definition (inputs + layer outputs)."""
-        return set(self.graph.input_specs) | set(self.producers)
+        try:
+            return self._defined
+        except AttributeError:
+            self._defined = set(self.graph.input_specs) | set(self.producers)
+            return self._defined
 
     @property
     def consumed(self) -> Set[str]:
@@ -139,35 +188,46 @@ class GraphView:
             return reached
 
     @property
+    def unschedulable(self) -> List[Layer]:
+        """Layers that can never run because a defined input of theirs
+        waits on a cycle (dangling inputs are G001's business, not
+        G003's), from :meth:`Graph.schedule`."""
+        try:
+            return self._unschedulable
+        except AttributeError:
+            _, self._unschedulable = self.graph.schedule(
+                ignore_undefined=True
+            )
+            return self._unschedulable
+
+    @property
     def cyclic_layers(self) -> List[str]:
-        """Layers on a dependency cycle (empty for a DAG)."""
+        """Layers on a dependency cycle (empty for a DAG).
+
+        Of the unschedulable layers, those in a strongly connected
+        component of two or more, or consuming their own output, over
+        the edges that block: producer -> consumer through a tensor
+        whose every producer is unschedulable.  Layers that only sit
+        downstream of a cycle are left out.  Every unschedulable layer
+        waits on such a tensor, so following those edges backwards
+        must close a cycle: this list is empty exactly when
+        :attr:`unschedulable` is.
+        """
         try:
             return self._cyclic
         except AttributeError:
             pass
-        # Kahn's algorithm over fully-defined dependencies; whatever
-        # cannot be scheduled *despite having all inputs defined* sits
-        # on a cycle (dangling inputs are G001's business, not G003's).
-        remaining = {
-            layer.name: {
-                t
-                for t in layer.inputs
-                if t in self.defined and t not in self.graph.input_specs
-            }
-            for layer in self.graph.layers
-        }
-        produced: Set[str] = set(self.graph.input_specs)
-        changed = True
-        while changed:
-            changed = False
-            for layer in self.graph.layers:
-                if layer.name not in remaining:
+        blocked = {layer.name for layer in self.unschedulable}
+        edges: Dict[str, Set[str]] = {name: set() for name in blocked}
+        for layer in self.unschedulable:
+            for tensor in layer.inputs:
+                if tensor in self.graph.input_specs:
                     continue
-                if all(t in produced for t in remaining[layer.name]):
-                    produced.update(layer.outputs)
-                    del remaining[layer.name]
-                    changed = True
-        self._cyclic = sorted(remaining)
+                producers = self.producers.get(tensor, [])
+                if producers and all(p.name in blocked for p in producers):
+                    for producer in producers:
+                        edges[producer.name].add(layer.name)
+        self._cyclic = sorted(_on_cycle(edges))
         return self._cyclic
 
     @property

@@ -10,11 +10,13 @@ Two registries live here:
   deserialization is trusted (metadata sanity, kernel names resolvable
   in the tactic table).
 
-:func:`lint_plan` runs them in two stages: the document and the
-embedded graph are checked first, and only a clean plan is fully
-deserialized (:func:`repro.engine.plan.load_plan`) and re-audited as an
-engine.  A corrupt file therefore produces diagnostics, never a raw
-``KeyError`` out of numpy.
+:func:`lint_plan` runs them in two stages over one read of the file:
+the document and the embedded graph are checked first, and only a
+clean plan is turned into an engine
+(:func:`repro.engine.plan.engine_from_plan`) and re-audited as one.  A
+corrupt file therefore produces diagnostics, never a raw ``KeyError``
+out of numpy.  :func:`lint_and_load_plan` also hands back that audited
+engine; it is the one lint-then-load path.
 
 Import-cycle note: ``repro.engine.builder`` imports the pass-invariant
 guard from this package, so nothing here may import ``engine.builder``
@@ -25,7 +27,7 @@ lazily inside the rule bodies.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.engine import Engine
 from repro.engine.kernels import DEFAULT_CATALOG
@@ -414,26 +416,32 @@ def lint_plan(
     """Audit a serialized ``.plan`` file.
 
     Stage 1 checks the raw document and the embedded graph without
-    trusting the loader; stage 2 (only when stage 1 is clean) fully
-    deserializes the plan and audits the resulting engine.
+    trusting the loader; stage 2 (only when stage 1 is clean) builds
+    the engine from what stage 1 read and audits it.
     """
-    from repro.engine.plan import load_plan, read_plan
+    return lint_and_load_plan(path, select=select, ignore=ignore)[0]
+
+
+def lint_and_load_plan(
+    path: Union[str, Path],
+    select=None,
+    ignore=None,
+) -> Tuple[LintReport, Optional[Engine]]:
+    """:func:`lint_plan` that also returns the audited engine.
+
+    The file is read once: the engine is built from the document and
+    graph that stage 1 checked, so the engine a caller gets is the one
+    the audit saw.  It is None unless the report is ok.
+    """
+    from repro.engine.plan import engine_from_plan, read_plan
 
     path = Path(path)
     report = LintReport(subject=f"plan {path.name}")
     try:
         doc, graph = read_plan(path)
     except Exception as exc:  # corrupt archive: diagnose, don't crash
-        rule = PLAN_DOC_RULES["P006"]
-        report.diagnostics.append(
-            Diagnostic(
-                rule_id=rule.rule_id,
-                rule_name=rule.name,
-                severity=rule.severity,
-                message=f"plan file is unreadable: {exc}",
-            )
-        )
-        return report
+        _plan_failure(report, f"plan file is unreadable: {exc}")
+        return report, None
 
     report.extend(
         run_rules(
@@ -446,23 +454,15 @@ def lint_plan(
     )
     report.extend(lint_graph(graph, select=select, ignore=ignore))
     if not report.ok:
-        return report  # do not deserialize a plan that fails stage 1
+        return report, None  # do not deserialize a plan that fails stage 1
 
     try:
-        engine = load_plan(path)
+        engine = engine_from_plan(doc, graph)
     except Exception as exc:
         # Reachable when stage-1 rules were pruned via select/ignore:
         # deserialization hits what the doc rules would have flagged.
-        rule = PLAN_DOC_RULES["P006"]
-        report.diagnostics.append(
-            Diagnostic(
-                rule_id=rule.rule_id,
-                rule_name=rule.name,
-                severity=rule.severity,
-                message=f"plan deserialization failed: {exc}",
-            )
-        )
-        return report
+        _plan_failure(report, f"plan deserialization failed: {exc}")
+        return report, None
     report.extend(
         run_rules(
             ENGINE_RULES,
@@ -472,12 +472,26 @@ def lint_plan(
             ignore=ignore,
         )
     )
-    return report
+    return report, (engine if report.ok else None)
+
+
+def _plan_failure(report: LintReport, message: str) -> None:
+    """Record an unreadable or undeserializable plan as P006."""
+    rule = PLAN_DOC_RULES["P006"]
+    report.diagnostics.append(
+        Diagnostic(
+            rule_id=rule.rule_id,
+            rule_name=rule.name,
+            severity=rule.severity,
+            message=message,
+        )
+    )
 
 
 __all__ = [
     "ENGINE_RULES",
     "PLAN_DOC_RULES",
     "lint_engine",
+    "lint_and_load_plan",
     "lint_plan",
 ]

@@ -950,7 +950,9 @@ def load_or_rebuild(
     """Load a ``.plan`` that passes its integrity audit, else rebuild.
 
     Returns ``(engine, rebuilt)``.  The audit is the full
-    :func:`repro.lint.lint_plan` pass; any error-level diagnostic (a
+    :func:`repro.lint.lint_plan` pass over the same read of the file
+    that yields the engine (:func:`repro.lint.lint_and_load_plan`);
+    any error-level diagnostic (a
     corrupt archive, a tampered document, a broken embedded graph)
     triggers a rebuild from ``network`` using ``builder_config`` —
     which should carry a ``timing_cache``/``timing_cache_path`` so the
@@ -973,12 +975,11 @@ def load_or_rebuild(
     import warnings
 
     from repro.engine.builder import BuilderConfig, EngineBuilder
-    from repro.engine.plan import load_plan
-    from repro.lint import lint_plan
+    from repro.lint import lint_and_load_plan
 
-    report = lint_plan(plan_path)
-    if report.ok:
-        return load_plan(plan_path), False
+    report, engine = lint_and_load_plan(plan_path)
+    if engine is not None:
+        return engine, False
     if injector is not None:
         first = report.errors[0] if report.errors else None
         injector.emit(

@@ -146,6 +146,52 @@ class TestWarmPath:
 
 
 # ----------------------------------------------------------------------
+# one read per lint-gated load
+# ----------------------------------------------------------------------
+def _count_plan_reads(monkeypatch):
+    """Record every :func:`repro.engine.plan.read_plan` call from now on."""
+    from repro.engine import plan
+
+    calls = []
+    read_plan = plan.read_plan
+
+    def counting(path):
+        calls.append(path)
+        return read_plan(path)
+
+    monkeypatch.setattr(plan, "read_plan", counting)
+    return calls
+
+
+class TestOneRead:
+    def test_store_hit_reads_the_plan_once(
+        self, store, small_cnn, monkeypatch
+    ):
+        _, r1 = store.get_or_build(small_cnn, XAVIER_NX)
+        calls = _count_plan_reads(monkeypatch)
+        engine, r2 = store.get_or_build(small_cnn, XAVIER_NX)
+        assert r2.outcome == "hit" and engine.num_kernels > 0
+        assert calls == [store.plan_path(r1.key)]
+
+    def test_load_or_rebuild_reads_the_plan_once(
+        self, small_cnn, tmp_path, monkeypatch
+    ):
+        from repro.engine.plan import save_plan
+        from repro.serving import load_or_rebuild
+
+        shipped = EngineBuilder(XAVIER_NX, BuilderConfig(seed=3)).build(
+            small_cnn
+        )
+        path = tmp_path / "shipped.plan"
+        save_plan(shipped, path)
+        calls = _count_plan_reads(monkeypatch)
+        engine, rebuilt = load_or_rebuild(path, small_cnn, XAVIER_NX)
+        assert not rebuilt
+        assert engine.kernel_names() == shipped.kernel_names()
+        assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
 # corruption, eviction, rebuild
 # ----------------------------------------------------------------------
 class TestIntegrity:

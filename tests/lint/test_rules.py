@@ -18,7 +18,14 @@ from repro.engine import BuilderConfig, EngineBuilder
 from repro.engine.plan import save_plan
 from repro.graph.ir import DataType, Graph, Layer, LayerKind, TensorSpec
 from repro.hardware.specs import XAVIER_NX
-from repro.lint import all_rules, lint_engine, lint_graph, lint_plan
+from repro.lint import (
+    GraphView,
+    all_rules,
+    lint_and_load_plan,
+    lint_engine,
+    lint_graph,
+    lint_plan,
+)
 from repro.lint.core import Severity
 
 from tests.conftest import make_small_cnn
@@ -150,6 +157,38 @@ def test_g003_graph_cycle():
     assert fired(report, "G003")
     # the dangling-tensor rule must NOT also fire: both tensors exist
     assert not fired(report, "G001")
+
+
+def test_g003_names_only_layers_on_the_cycle():
+    """Layers downstream of a cycle cannot run either, but G003 names
+    only the cycle itself."""
+    g = Graph("tail", [TensorSpec("x", (4,))])
+    g.add_layer(Layer("a", LayerKind.ELEMENTWISE, ["x", "b_out"], ["a_out"]))
+    g.add_layer(Layer("b", LayerKind.IDENTITY, ["a_out"], ["b_out"]))
+    g.add_layer(Layer("c", LayerKind.IDENTITY, ["b_out"], ["c_out"]))
+    g.add_layer(Layer("d", LayerKind.IDENTITY, ["c_out"], ["d_out"]))
+    g.mark_output("d_out")
+    view = GraphView(g)
+    assert [layer.name for layer in view.unschedulable] == ["a", "b", "c", "d"]
+    assert view.cyclic_layers == ["a", "b"]
+    assert not view.structural_ok
+    (diag,) = fired(lint_graph(g), "G003")
+    assert diag.message == "dependency cycle through layer(s): 'a', 'b'"
+    assert diag.layer == "a"
+
+
+def test_g003_self_loop_and_cycle_through_duplicate_producers():
+    g = Graph("loops", [TensorSpec("x", (4,))])
+    g.add_layer(Layer("self", LayerKind.IDENTITY, ["self_out"], ["self_out"]))
+    g.add_layer(Layer("p", LayerKind.IDENTITY, ["x"], ["p_out"]))
+    g.add_layer(Layer("q", LayerKind.IDENTITY, ["p_out"], ["q_out"]))
+    # 'p_out' gets a second producer downstream of 'q': a cycle in the
+    # producer graph, but 'p' defines the tensor, so both layers run.
+    g.add_layer(Layer("r", LayerKind.IDENTITY, ["q_out"], ["tmp"]))
+    layer_by_name(g, "r").outputs[0] = "p_out"
+    view = GraphView(g)
+    assert [layer.name for layer in view.unschedulable] == ["self"]
+    assert view.cyclic_layers == ["self"]
 
 
 def test_g004_unreachable_layer_is_warning():
@@ -423,6 +462,23 @@ def test_q001_int8_layer_without_scales():
 def test_clean_plan_lints_ok(plan_path):
     report = lint_plan(plan_path)
     assert report.ok, report.format_text()
+
+
+def test_lint_and_load_plan_returns_the_audited_engine(plan_path):
+    from repro.engine.plan import load_plan
+
+    report, engine = lint_and_load_plan(plan_path)
+    assert report.ok
+    assert engine.kernel_names() == load_plan(plan_path).kernel_names()
+    assert report.diagnostics == lint_plan(plan_path).diagnostics
+
+
+def test_lint_and_load_plan_withholds_a_failed_engine(plan_path):
+    rewrite_plan_doc(
+        plan_path, lambda doc: doc.update(size_bytes=doc["size_bytes"] + 1)
+    )
+    report, engine = lint_and_load_plan(plan_path)
+    assert fired(report, "P002") and engine is None
 
 
 def test_p004_unknown_kernel(plan_path):
