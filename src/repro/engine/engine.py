@@ -149,9 +149,10 @@ class ExecutionContext:
     ):
         self.engine = engine
         self.device = device
-        self._executor = GraphExecutor(
-            engine.graph, engine.math_config, layer_hook=layer_hook
-        )
+        self._layer_hook = layer_hook
+        # Built by the first execute(): most contexts only time
+        # inferences and never schedule the graph.
+        self._executor: Optional[GraphExecutor] = None
         # Deterministic timeline skeletons, keyed (clock, sm_fraction,
         # batch, upload).  Valid for this context's fixed engine+device
         # only, hence per-instance; repro.caching gates its use.
@@ -160,6 +161,12 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     def execute(self, **inputs: np.ndarray) -> ExecutionResult:
         """Numeric forward pass through the engine's bound kernels."""
+        if self._executor is None:
+            self._executor = GraphExecutor(
+                self.engine.graph,
+                self.engine.math_config,
+                layer_hook=self._layer_hook,
+            )
         return self._executor.run(**inputs)
 
     def time_inference(

@@ -130,7 +130,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # hardware_hook protocol (repro.hardware.gpu.simulate_inference)
     # ------------------------------------------------------------------
-    def memcpy_factor(self, label: str, start_us: float) -> float:
+    # Both factors depend on the simulation clock ``self.now`` only, not
+    # on an event's position inside the timeline, so the simulator can
+    # ask for every event's factor before it lays out the start times.
+    def memcpy_factor(self, label: str) -> float:
         factor = 1.0
         for _, scenario in self._active(FaultKind.DRAM_DEGRADATION):
             factor *= self._amp(
@@ -154,9 +157,7 @@ class FaultInjector:
                 )
         return factor
 
-    def kernel_factor(
-        self, layer_name: str, kernel_name: str, start_us: float
-    ) -> float:
+    def kernel_factor(self, layer_name: str, kernel_name: str) -> float:
         factor = 1.0
         for _, scenario in self._active(FaultKind.DRAM_DEGRADATION):
             factor *= self._amp(

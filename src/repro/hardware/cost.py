@@ -18,6 +18,15 @@ A kernel's execution time is modeled as::
   the mechanism behind the paper's Finding 5 / Table XI.
 
 All times are in microseconds.
+
+Two implementations price kernels.  :meth:`CostModel.kernel_cost`
+prices one (kernel, workload) pair at a time for the builder-side
+callers (tactic timing, the inspector, interference probes, the
+unoptimized baseline).  :class:`CostTable` holds the clock-independent
+terms of a whole engine as float64 columns and prices every kernel at
+once; the timeline simulator uses it.  The table repeats the scalar
+formula's IEEE operations in the same order, so the two agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.caching import caching_enabled, register_cache
 from repro.graph.ir import DataType
@@ -81,11 +94,12 @@ class CostModel:
 
         The breakdown is pure arithmetic over hashable inputs, so it is
         memoized by (device, kernel, workload, clock, sm_fraction) —
-        every repeated timing query (DVFS ladders, batch sweeps, fleet
-        devices replaying the same engine) hits the cache.  Stochastic
-        measurement noise is applied by *callers* on top of this
-        deterministic cost, so memoization cannot leak jitter between
-        queries.
+        repeated builder-side queries (the same candidate timed for
+        identical layers, inspector and interference probes) hit the
+        cache.  Timelines price whole engines through
+        :class:`CostTable` instead.  Stochastic measurement noise is
+        applied by *callers* on top of this deterministic cost, so
+        memoization cannot leak jitter between queries.
         """
         if not 0.0 < sm_fraction <= 1.0:
             raise ValueError(f"sm_fraction must be in (0, 1], got {sm_fraction}")
@@ -138,16 +152,7 @@ def _compute_kernel_cost(
 ) -> KernelCost:
     effective_sms = max(1.0, dev.sms * sm_fraction)
     clock_hz = clock_mhz * 1e6
-    # Burst-granularity mismatch: a kernel consuming only a small
-    # fraction of each DRAM burst pays proportionally more latency
-    # trips on a wide memory controller.  Accesses of at least a
-    # half burst still coalesce across the controller's channel
-    # pair; below a quarter burst the trips serialize.  This is the
-    # per-kernel mechanism behind the paper's Table XI (specific
-    # kernel variants slower on the AGX's 256-bit memory system).
-    granularity = getattr(kernel, "access_granularity_bytes", 64)
-    ratio = dev.min_burst_bytes / granularity
-    burst_penalty = ratio if ratio >= 4.0 else 1.0
+    burst_penalty = _burst_penalty(dev, kernel)
 
     if workload.gemm_k > 0:
         # GEMM-shaped work: wave-quantized tile math.
@@ -191,3 +196,206 @@ def _compute_kernel_cost(
         bandwidth_us=bandwidth_us,
         latency_us=latency_us,
     )
+
+
+def _burst_penalty(dev: DeviceSpec, kernel) -> float:
+    # Burst-granularity mismatch: a kernel consuming only a small
+    # fraction of each DRAM burst pays proportionally more latency
+    # trips on a wide memory controller.  Accesses of at least a
+    # half burst still coalesce across the controller's channel
+    # pair; below a quarter burst the trips serialize.  This is the
+    # per-kernel mechanism behind the paper's Table XI (specific
+    # kernel variants slower on the AGX's 256-bit memory system).
+    granularity = getattr(kernel, "access_granularity_bytes", 64)
+    ratio = dev.min_burst_bytes / granularity
+    return ratio if ratio >= 4.0 else 1.0
+
+
+def _column(values: Sequence, dtype: type = np.float64) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+class _UnitKernel:
+    """Stand-in kernel for transfer rows: unit tiles and rates keep
+    their kernel terms finite (the timeline prices those rows as
+    memcpys and discards the kernel terms)."""
+
+    tile_m = tile_n = blocks_per_sm = split_k = prefetch_depth = 1
+    bw_eff = 1.0
+    uses_tensor_cores = False
+    precision = DataType.FP32
+
+
+class CostTable:
+    """Clock-independent cost terms of an engine's bindings on a device.
+
+    One row per timeline entry, in execution order: one row for every
+    kernel of every binding, and one row for each cross-provider
+    transfer binding (``transfer`` is set on those rows).  Columns are
+    read-only float64 vectors, except the two row masks (``transfer``,
+    ``gemm``) and the byte counts, which stay int64 so that batch
+    scaling is exact integer arithmetic, as in
+    :meth:`LayerWorkload.for_batch`.
+
+    :meth:`kernel_terms` prices every row at one (clock, sm_fraction,
+    batch) point.  Its elementwise operations are those of
+    :func:`_compute_kernel_cost` in the same order, and the columns
+    precompute only sub-expressions that the scalar code evaluates
+    before it touches the clock, the SM share or the batch, so each
+    row's terms are bit-identical to the scalar cost of its kernel.
+
+    Rows also carry the binding-level factors the timeline applies:
+    the provider's four cost scales and the binding's kernel count
+    (the multi-kernel work divisor).  TRT rows carry identity scales,
+    and a single-kernel binding divides by 1; multiplying or dividing
+    by 1.0 is exact, so one formula serves every provider.
+    """
+
+    def __init__(self, bindings: Sequence, device: DeviceSpec):
+        from repro.runtime.providers import (
+            ProviderCostParams,
+            provider_cost_params,
+        )
+
+        identity = ProviderCostParams()
+        dev = self.device = device
+        # (name, layer, kernel or None for transfers, workload,
+        #  provider params, kernels in the binding)
+        rows: List[Tuple] = []
+        for binding in bindings:
+            if getattr(binding, "transfer", None) is not None:
+                rows.append((
+                    f"[CUDA memcpy DtoD] {binding.layer_name}",
+                    binding.layer_name, None, binding.workload, identity, 1,
+                ))
+                continue
+            provider = getattr(binding, "provider", "trt")
+            params = (
+                identity if provider == "trt"
+                else provider_cost_params(provider)
+            )
+            for kernel in binding.kernels:
+                rows.append((
+                    kernel.name, binding.layer_name, kernel,
+                    binding.workload, params, len(binding.kernels),
+                ))
+
+        is_kernel = [r[2] is not None for r in rows]
+        #: Timeline names of the kernel rows and of the transfer rows.
+        self.kernel_names: Tuple[str, ...] = tuple(
+            compress([r[0] for r in rows], is_kernel)
+        )
+        self.kernel_layers: Tuple[str, ...] = tuple(
+            compress([r[1] for r in rows], is_kernel)
+        )
+        self.transfer_names: Tuple[str, ...] = tuple(
+            r[0] for r in rows if r[2] is None
+        )
+        self.transfer = _column([not k for k in is_kernel], bool)
+        kernels = [_UnitKernel if r[2] is None else r[2] for r in rows]
+        loads = [r[3] for r in rows]
+        penalties = [_burst_penalty(dev, k) for k in kernels]
+
+        self.gemm = _column([w.gemm_k > 0 for w in loads], bool)
+        self.m_tiles = _column([
+            math.ceil(w.gemm_m / k.tile_m) for k, w in zip(kernels, loads)
+        ])
+        self.gemm_n = _column([w.gemm_n for w in loads])
+        self.tile_n = _column([k.tile_n for k in kernels])
+        self.split_k = _column([k.split_k for k in kernels])
+        self.blocks_per_sm = _column([k.blocks_per_sm for k in kernels])
+        self.flops_per_block = _column([
+            2.0 * k.tile_m * k.tile_n * w.gemm_k / k.split_k
+            for k, w in zip(kernels, loads)
+        ])
+        self.strides = _column([
+            math.ceil(w.gemm_k / k.split_k / k.prefetch_depth)
+            for k, w in zip(kernels, loads)
+        ])
+        self.per_sm_flops = _column(
+            [_per_sm_flops_per_clock(dev, k) for k in kernels]
+        )
+        self.burst_penalty = _column(penalties)
+        self.flat_latency = _column(
+            [4.0 * dev.dram_latency_ns * bp / 1e3 for bp in penalties]
+        )
+        self.flops = _column([w.flops for w in loads])
+        self.peak_bw_gbps = _column(
+            [dev.mem_bandwidth_gbps * k.bw_eff for k in kernels]
+        )
+        self.act_bytes = _column(
+            [w.bytes_in + w.bytes_out for w in loads], np.int64
+        )
+        self.weight_bytes = _column([w.bytes_w for w in loads], np.int64)
+        self.bytes_out = _column([w.bytes_out for w in loads], np.int64)
+        self.n_kernels = _column([r[5] for r in rows])
+        self.compute_scale = _column([r[4].compute_scale for r in rows])
+        self.bandwidth_scale = _column([r[4].bandwidth_scale for r in rows])
+        self.launch_scale = _column([r[4].launch_scale for r in rows])
+        self.latency_scale = _column([r[4].latency_scale for r in rows])
+
+    def kernel_terms(
+        self, clock_mhz: float, sm_fraction: float, batch_size: int
+    ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """``(launch_us, compute_us, bandwidth_us, latency_us)`` of
+        every row at one operating point: row ``i`` holds the
+        :class:`KernelCost` fields of ``kernel_cost(kernel_i,
+        workload_i.for_batch(batch_size), clock_mhz, sm_fraction)``
+        (the launch term is one scalar per device).  The caller
+        validates the arguments."""
+        dev = self.device
+        effective_sms = max(1.0, dev.sms * sm_fraction)
+        clock_hz = clock_mhz * 1e6
+        # GEMM-shaped rows: wave-quantized tile math.
+        blocks = (
+            self.m_tiles
+            * np.ceil(self.gemm_n * batch_size / self.tile_n)
+            * self.split_k
+        )
+        concurrent = np.maximum(1.0, int(effective_sms) * self.blocks_per_sm)
+        waves = np.ceil(blocks / concurrent)
+        per_block_rate = self.per_sm_flops * clock_hz / self.blocks_per_sm
+        gemm_compute = waves * self.flops_per_block / per_block_rate * 1e6
+        gemm_latency = (
+            waves * self.strides * dev.dram_latency_ns
+            * self.burst_penalty / 1e3
+        )
+        # Pointwise-ish rows: throughput-limited element math.
+        rate = self.per_sm_flops * effective_sms * clock_hz
+        flat_compute = self.flops * batch_size / rate * 1e6
+        total_bytes = self.act_bytes * batch_size + self.weight_bytes
+        return (
+            dev.kernel_launch_overhead_us,
+            np.where(self.gemm, gemm_compute, flat_compute),
+            total_bytes / (self.peak_bw_gbps * sm_fraction * 1e3),
+            np.where(self.gemm, gemm_latency, self.flat_latency),
+        )
+
+
+_TABLES: Dict[Tuple[DeviceSpec, Tuple[int, ...]], Tuple[tuple, CostTable]] = {}
+
+
+def cost_table(bindings: Sequence, device: DeviceSpec) -> CostTable:
+    """The :class:`CostTable` of ``bindings`` on ``device``, memoized.
+
+    All timing contexts of an engine on a device share one table, so a
+    fresh context (the paper tables make one per cell) prices its
+    kernels without rebuilding it.  The key is the identity of each
+    binding, and the entry pins the bindings, so no id is reused while
+    the entry lives; bindings are immutable once an engine is built.
+    The memo is registered with :mod:`repro.caching`:
+    ``clear_caches()`` drops it like every other memo, and with caching
+    disabled every call builds a fresh table.
+    """
+    if not caching_enabled():
+        return CostTable(bindings, device)
+    key = (device, tuple(map(id, bindings)))
+    entry = _TABLES.get(key)
+    if entry is None:
+        entry = _TABLES[key] = (tuple(bindings), CostTable(bindings, device))
+    return entry[1]
+
+
+register_cache(_TABLES.clear)

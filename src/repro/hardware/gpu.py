@@ -6,17 +6,36 @@ kernel invocation.  Run-to-run jitter (DVFS, DRAM refresh, background
 interrupts) is modeled as multiplicative noise per kernel, which is why
 repeated timings of the *same* engine show the standard deviations the
 paper reports.
+
+A timeline is a set of columns, not a list of event objects: the
+noise-free durations come from the engine's
+:class:`~repro.hardware.cost.CostTable` in a few elementwise float64
+operations, one product applies jitter, profiler overhead and fault
+factors, and one running sum gives the start times.  Every operation
+repeats the scalar per-event arithmetic in the same order, so the
+columns are bit-identical to an event-by-event simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+import math
+import numbers
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.caching import caching_enabled
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import cost_table
 from repro.hardware.memory import MemcpyModel
 from repro.hardware.specs import DeviceSpec
 from repro.telemetry.bus import BUS, SpanKind
@@ -47,23 +66,121 @@ class MemcpyEvent:
     duration_us: float
 
 
-@dataclass
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float64 sum ``(v0 + v1) + v2 ...`` (0.0 if empty).
+
+    This is what builtin ``sum()`` computed over floats before Python
+    3.12, which switched it to compensated summation; ``np.sum`` sums
+    pairwise.  Timeline totals use this reduction so that simulated
+    latencies do not depend on the interpreter.
+    """
+    if len(values) == 0:
+        return 0.0
+    return float(np.add.accumulate(values)[-1])
+
+
+_NO_EVENTS = np.zeros(0)
+_NO_EVENTS.setflags(write=False)
+
+
 class InferenceTiming:
-    """Complete timeline of one inference (of ``batch_size`` samples)."""
+    """Complete timeline of one inference (of ``batch_size`` samples).
 
-    device_name: str
-    clock_mhz: float
-    batch_size: int = 1
-    kernel_events: List[KernelEvent] = field(default_factory=list)
-    memcpy_events: List[MemcpyEvent] = field(default_factory=list)
+    The timeline is held as columns per event kind: kernel and layer
+    names (tuples shared with the timeline skeleton), memcpy labels,
+    byte counts and call counts, and float64 start and duration
+    vectors.  ``kernel_us`` and ``memcpy_us`` are summed once, in event
+    order (:func:`sequential_sum`).  ``kernel_events`` and
+    ``memcpy_events`` build the per-event records on first access, so
+    consumers that only aggregate (latency totals, nvprof summaries)
+    never create them.  Two timings are equal when their device, clock,
+    batch and every event are.
+    """
+
+    __slots__ = (
+        "device_name", "clock_mhz", "batch_size",
+        "kernel_names", "kernel_layers", "kernel_starts", "kernel_durations",
+        "memcpy_labels", "memcpy_bytes", "memcpy_calls", "memcpy_starts",
+        "memcpy_durations", "kernel_us", "memcpy_us",
+        "_kernel_events", "_memcpy_events",
+    )
+
+    def __init__(
+        self,
+        device_name: str,
+        clock_mhz: float,
+        batch_size: int = 1,
+        *,
+        kernel_names: Tuple[str, ...] = (),
+        kernel_layers: Tuple[str, ...] = (),
+        kernel_starts: np.ndarray = _NO_EVENTS,
+        kernel_durations: np.ndarray = _NO_EVENTS,
+        memcpy_labels: Tuple[str, ...] = (),
+        memcpy_bytes: Tuple[int, ...] = (),
+        memcpy_calls: Tuple[int, ...] = (),
+        memcpy_starts: np.ndarray = _NO_EVENTS,
+        memcpy_durations: np.ndarray = _NO_EVENTS,
+    ):
+        self.device_name = device_name
+        self.clock_mhz = clock_mhz
+        self.batch_size = batch_size
+        self.kernel_names = kernel_names
+        self.kernel_layers = kernel_layers
+        self.kernel_starts = kernel_starts
+        self.kernel_durations = kernel_durations
+        self.memcpy_labels = memcpy_labels
+        self.memcpy_bytes = memcpy_bytes
+        self.memcpy_calls = memcpy_calls
+        self.memcpy_starts = memcpy_starts
+        self.memcpy_durations = memcpy_durations
+        self.kernel_us = sequential_sum(kernel_durations)
+        self.memcpy_us = sequential_sum(memcpy_durations)
+        self._kernel_events: Optional[List[KernelEvent]] = None
+        self._memcpy_events: Optional[List[MemcpyEvent]] = None
 
     @property
-    def kernel_us(self) -> float:
-        return sum(e.duration_us for e in self.kernel_events)
+    def kernel_events(self) -> List[KernelEvent]:
+        if self._kernel_events is None:
+            self._kernel_events = list(map(
+                KernelEvent,
+                self.kernel_names,
+                self.kernel_layers,
+                self.kernel_starts.tolist(),
+                self.kernel_durations.tolist(),
+            ))
+        return self._kernel_events
 
     @property
-    def memcpy_us(self) -> float:
-        return sum(e.duration_us for e in self.memcpy_events)
+    def memcpy_events(self) -> List[MemcpyEvent]:
+        if self._memcpy_events is None:
+            self._memcpy_events = list(map(
+                MemcpyEvent,
+                self.memcpy_labels,
+                self.memcpy_bytes,
+                self.memcpy_calls,
+                self.memcpy_starts.tolist(),
+                self.memcpy_durations.tolist(),
+            ))
+        return self._memcpy_events
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InferenceTiming):
+            return NotImplemented
+        return (
+            self.device_name, self.clock_mhz, self.batch_size,
+            self.kernel_events, self.memcpy_events,
+        ) == (
+            other.device_name, other.clock_mhz, other.batch_size,
+            other.kernel_events, other.memcpy_events,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"InferenceTiming(device_name={self.device_name!r}, "
+            f"clock_mhz={self.clock_mhz!r}, batch_size={self.batch_size!r}, "
+            f"kernels={len(self.kernel_names)}, "
+            f"memcpys={len(self.memcpy_labels)}, total_us={self.total_us!r})"
+        )
 
     @property
     def total_us(self) -> float:
@@ -83,18 +200,24 @@ class InferenceTiming:
         return self.kernel_us
 
 
-#: Deterministic timeline skeleton: (upload (bytes, calls, us) or None,
-#: input (bytes, us) or None, per-event (name, layer_name, base_us,
-#: transfer_bytes), the base durations again as a read-only float64
-#: vector).  ``transfer_bytes`` is 0 for kernel invocations and the
-#: copied byte count for cross-provider transfer entries, which are
-#: billed as DtoD memcpys rather than kernels.
-TimelineSkeleton = Tuple[
-    Optional[Tuple[int, int, float]],
-    Optional[Tuple[int, float]],
-    Tuple[Tuple[str, str, float, int], ...],
-    np.ndarray,
-]
+class TimelineSkeleton(NamedTuple):
+    """The deterministic part of a timeline, in event order.
+
+    ``base_us`` is every event's duration before jitter, profiler
+    overhead and fault factors.  ``memcpy`` marks the memcpy events
+    (engine upload, input, and cross-provider transfers, which are
+    billed as DtoD memcpys mid-stream); the rest are kernel
+    invocations.  The other fields are the per-kind event records that
+    every timing built from this skeleton shares.
+    """
+
+    base_us: np.ndarray
+    memcpy: np.ndarray
+    kernel_names: Tuple[str, ...]
+    kernel_layers: Tuple[str, ...]
+    memcpy_labels: Tuple[str, ...]
+    memcpy_bytes: Tuple[int, ...]
+    memcpy_calls: Tuple[int, ...]
 
 
 def _timeline_skeleton(
@@ -124,93 +247,109 @@ def _timeline_skeleton(
     ``1.0`` (the default, an exact float multiply by one) is
     bit-identical to the isolated timeline.
     """
-    if mem_contention < 1.0:
-        raise ValueError(
-            f"mem_contention must be >= 1.0, got {mem_contention}"
-        )
-    cost_model = CostModel(device)
+    table = cost_table(bindings, device)
+    launch, compute, bandwidth, latency = table.kernel_terms(
+        clock_mhz, sm_fraction, batch_size
+    )
+    # A multi-kernel binding (detection pipeline) splits the layer's
+    # *work* across its kernels; each invocation still pays its own
+    # launch overhead and dependent-load latency chains (a sort pass's
+    # pointer chasing does not shrink because other passes exist).
+    # Non-TRT providers scale the cost terms: effective FLOP rate and
+    # bandwidth shrink (divide), launch and latency exposure grow
+    # (multiply).  TRT rows carry unit scales, which are exact.
+    work = np.maximum(
+        compute / table.compute_scale,
+        bandwidth * mem_contention / table.bandwidth_scale,
+    ) / table.n_kernels
+    kernel_base = launch * table.launch_scale + work + latency * table.latency_scale
+    # Cross-provider transfer rows (partitioned engines): the tensor
+    # crosses a provider boundary as a DtoD memcpy, billed against the
+    # Eq. 1 bandwidth model like any other transfer; activation bytes
+    # scale with the micro-batch.
     memcpy = MemcpyModel(device)
-    upload: Optional[Tuple[int, int, float]] = None
+    transfer_bytes = table.bytes_out * batch_size
+    stream_us = np.where(
+        table.transfer,
+        memcpy.single_us(transfer_bytes) * mem_contention,
+        kernel_base,
+    )
+
+    head_us: List[float] = []
+    labels: List[str] = []
+    nbytes: List[int] = []
+    calls: List[int] = []
     if include_engine_upload and weight_chunks:
         up = memcpy.transfer(list(weight_chunks))
-        upload = (up.bytes, up.calls, up.total_us * mem_contention)
-    inp: Optional[Tuple[int, float]] = None
+        head_us.append(up.total_us * mem_contention)
+        labels.append("[CUDA memcpy HtoD] engine")
+        nbytes.append(up.bytes)
+        calls.append(up.calls)
     if input_bytes:
-        single = memcpy.single(
-            input_bytes if batch_size == 1 else input_bytes * batch_size
-        )
-        inp = (single.bytes, single.total_us * mem_contention)
-    kernels: List[Tuple[str, str, float, int]] = []
-    for binding in bindings:
-        workload = binding.workload.for_batch(batch_size)
-        spec = getattr(binding, "transfer", None)
-        if spec is not None:
-            # Cross-provider transfer node (partitioned engines): the
-            # tensor crosses a provider boundary as a DtoD memcpy,
-            # billed against the Eq. 1 bandwidth model like any other
-            # transfer; activation bytes scale with the micro-batch.
-            xfer = memcpy.single(workload.bytes_out)
-            kernels.append(
-                (
-                    f"[CUDA memcpy DtoD] {binding.layer_name}",
-                    binding.layer_name,
-                    xfer.total_us * mem_contention,
-                    xfer.bytes,
-                )
-            )
-            continue
-        n_kernels = len(binding.kernels)
-        params = None
-        provider = getattr(binding, "provider", "trt")
-        if provider != "trt":
-            from repro.runtime.providers import provider_cost_params
+        single = memcpy.single(input_bytes * batch_size)
+        head_us.append(single.total_us * mem_contention)
+        labels.append("[CUDA memcpy HtoD] input")
+        nbytes.append(single.bytes)
+        calls.append(1)
 
-            params = provider_cost_params(provider)
-        for kernel in binding.kernels:
-            cost = cost_model.kernel_cost(
-                kernel,
-                workload,
-                clock_mhz,
-                sm_fraction=sm_fraction,
-            )
-            # A multi-kernel binding (detection pipeline) splits the
-            # layer's *work* across its kernels; each invocation still
-            # pays its own launch overhead and dependent-load latency
-            # chains (a sort pass's pointer chasing does not shrink
-            # because other passes exist).
-            bw_us = cost.bandwidth_us * mem_contention
-            if params is not None:
-                # Non-TRT providers scale the cost terms: effective
-                # FLOP rate and bandwidth shrink (divide), launch and
-                # latency exposure grow (multiply).  The TRT branch
-                # below is untouched — its costs define the model.
-                work = max(
-                    cost.compute_us / params.compute_scale,
-                    bw_us / params.bandwidth_scale,
-                )
-                if n_kernels > 1:
-                    work /= n_kernels
-                base = (
-                    cost.launch_us * params.launch_scale
-                    + work
-                    + cost.latency_us * params.latency_scale
-                )
-            elif n_kernels > 1:
-                base = (
-                    cost.launch_us
-                    + max(cost.compute_us, bw_us) / n_kernels
-                    + cost.latency_us
-                )
-            else:
-                base = (
-                    cost.launch_us
-                    + max(cost.compute_us, bw_us)
-                    + cost.latency_us
-                )
-            kernels.append((kernel.name, binding.layer_name, base, 0))
-    bases = np.array([k[2] for k in kernels], dtype=np.float64)
-    bases.setflags(write=False)
-    return upload, inp, tuple(kernels), bases
+    base_us = np.concatenate((head_us, stream_us))
+    is_memcpy = np.concatenate((np.ones(len(head_us), bool), table.transfer))
+    for column in (base_us, is_memcpy):
+        column.setflags(write=False)
+    transfers = transfer_bytes[table.transfer].tolist()
+    return TimelineSkeleton(
+        base_us=base_us,
+        memcpy=is_memcpy,
+        kernel_names=table.kernel_names,
+        kernel_layers=table.kernel_layers,
+        memcpy_labels=tuple(labels) + table.transfer_names,
+        memcpy_bytes=tuple(nbytes + transfers),
+        memcpy_calls=tuple(calls + [1] * len(transfers)),
+    )
+
+
+def _check_timeline_args(
+    clock_mhz: float,
+    sm_fraction: float,
+    batch_size: int,
+    mem_contention: float,
+) -> None:
+    """Reject arguments that would give a silently wrong timeline
+    (``nan`` fails every comparison, so each check is written to pass
+    only on valid values)."""
+    if not 0.0 < clock_mhz < math.inf:
+        raise ValueError(
+            f"clock_mhz must be positive and finite, got {clock_mhz}"
+        )
+    if not 0.0 < sm_fraction <= 1.0:
+        raise ValueError(f"sm_fraction must be in (0, 1], got {sm_fraction}")
+    if not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+        raise ValueError(
+            f"batch_size must be an integer >= 1, got {batch_size}"
+        )
+    if not 1.0 <= mem_contention < math.inf:
+        raise ValueError(
+            f"mem_contention must be finite and >= 1.0, got {mem_contention}"
+        )
+
+
+def _hook_factors(hook: object, skeleton: TimelineSkeleton) -> np.ndarray:
+    """The hook's factor for every event, asked in event order.
+
+    :class:`repro.faults.FaultInjector` rolls its fault triggers and
+    logs firings per call, so the call order is part of the output."""
+    labels = iter(skeleton.memcpy_labels)
+    kernels = iter(zip(skeleton.kernel_layers, skeleton.kernel_names))
+    memcpy_factor = getattr(hook, "memcpy_factor")
+    kernel_factor = getattr(hook, "kernel_factor")
+    return np.array(
+        [
+            memcpy_factor(next(labels)) if is_memcpy
+            else kernel_factor(*next(kernels))
+            for is_memcpy in skeleton.memcpy.tolist()
+        ],
+        dtype=np.float64,
+    )
 
 
 def simulate_inference(
@@ -243,12 +382,13 @@ def simulate_inference(
     the paper's Tables VIII vs IX quantify exactly that overhead.
 
     ``hardware_hook`` injects hardware-level faults: it provides
-    ``memcpy_factor(label, start_us) -> float`` and
-    ``kernel_factor(layer_name, kernel_name, start_us) -> float``
-    multipliers on event durations (DRAM-bandwidth degradation, memcpy
-    stalls, kernel hangs).  :class:`repro.faults.FaultInjector`
-    implements this protocol; a factor of exactly ``1.0`` leaves the
-    timeline bit-identical to the hook-free run.
+    ``memcpy_factor(label) -> float`` and
+    ``kernel_factor(layer_name, kernel_name) -> float`` multipliers on
+    event durations (DRAM-bandwidth degradation, memcpy stalls, kernel
+    hangs), asked once per event in timeline order.
+    :class:`repro.faults.FaultInjector` implements this protocol; a
+    factor of exactly ``1.0`` leaves the timeline bit-identical to the
+    hook-free run.
 
     ``mem_contention`` (>= 1.0) stretches every bandwidth-bound term —
     memcpys and each kernel's Eq. 1 ``bandwidth_us`` — modeling shared
@@ -264,14 +404,12 @@ def simulate_inference(
     key does not re-derive those.  Jitter, profiler overhead, and
     fault hooks are applied per call in the original order, so cached
     and uncached timelines are bit-identical draw for draw.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    timing = InferenceTiming(
-        device_name=device.name, clock_mhz=clock_mhz, batch_size=batch_size
-    )
-    cursor = 0.0
 
+    Invalid ``clock_mhz``, ``sm_fraction``, ``batch_size`` or
+    ``mem_contention`` values (including ``nan`` and infinities) raise
+    :class:`ValueError` before anything is simulated.
+    """
+    _check_timeline_args(clock_mhz, sm_fraction, batch_size, mem_contention)
     skeleton: Optional[TimelineSkeleton] = None
     cache_key: Optional[Tuple[float, float, int, bool, float]] = None
     if skeleton_cache is not None and caching_enabled():
@@ -297,159 +435,47 @@ def simulate_inference(
         )
         if cache_key is not None:
             skeleton_cache[cache_key] = skeleton
-    upload, inp, kernel_bases, base_vec = skeleton
 
-    def noisy(value: float) -> float:
-        if rng is None or jitter <= 0:
-            return value
-        return float(value * max(0.5, 1.0 + jitter * rng.standard_normal()))
-
-    overhead = profiler.kernel_overhead_factor if profiler is not None else 1.0
-    memcpy_overhead = (
-        profiler.memcpy_overhead_factor if profiler is not None else 1.0
+    # Each event lasts base * jitter * overhead * hook, multiplied left
+    # to right, and starts where the running sum of the durations
+    # before it ends.  A factor that does not apply is the scalar 1.0,
+    # which is exact.  Jitter is one draw per event in event order: a
+    # Generator consumes its stream identically for standard_normal(n)
+    # and n scalar draws.
+    jitter_factors: Union[float, np.ndarray] = 1.0
+    if rng is not None and jitter > 0:
+        jitter_factors = np.maximum(
+            0.5, 1.0 + jitter * rng.standard_normal(len(skeleton.base_us))
+        )
+    overheads: Union[float, np.ndarray] = 1.0
+    if profiler is not None:
+        overheads = np.where(
+            skeleton.memcpy,
+            profiler.memcpy_overhead_factor,
+            profiler.kernel_overhead_factor,
+        )
+    hooks: Union[float, np.ndarray] = 1.0
+    if hardware_hook is not None:
+        hooks = _hook_factors(hardware_hook, skeleton)
+    durations = skeleton.base_us * jitter_factors * overheads * hooks
+    starts = np.zeros_like(durations)
+    np.cumsum(durations[:-1], out=starts[1:])
+    memcpy = skeleton.memcpy
+    kernel = ~memcpy
+    timing = InferenceTiming(
+        device.name,
+        clock_mhz,
+        batch_size,
+        kernel_names=skeleton.kernel_names,
+        kernel_layers=skeleton.kernel_layers,
+        kernel_starts=starts[kernel],
+        kernel_durations=durations[kernel],
+        memcpy_labels=skeleton.memcpy_labels,
+        memcpy_bytes=skeleton.memcpy_bytes,
+        memcpy_calls=skeleton.memcpy_calls,
+        memcpy_starts=starts[memcpy],
+        memcpy_durations=durations[memcpy],
     )
-
-    if upload is not None:
-        up_bytes, up_calls, up_us = upload
-        dur = noisy(up_us) * memcpy_overhead
-        if hardware_hook is not None:
-            dur *= hardware_hook.memcpy_factor(
-                "[CUDA memcpy HtoD] engine", cursor
-            )
-        timing.memcpy_events.append(
-            MemcpyEvent(
-                label="[CUDA memcpy HtoD] engine",
-                bytes=up_bytes,
-                calls=up_calls,
-                start_us=cursor,
-                duration_us=dur,
-            )
-        )
-        cursor += dur
-
-    if inp is not None:
-        in_bytes, in_us = inp
-        dur = noisy(in_us) * memcpy_overhead
-        if hardware_hook is not None:
-            dur *= hardware_hook.memcpy_factor(
-                "[CUDA memcpy HtoD] input", cursor
-            )
-        timing.memcpy_events.append(
-            MemcpyEvent(
-                label="[CUDA memcpy HtoD] input",
-                bytes=in_bytes,
-                calls=1,
-                start_us=cursor,
-                duration_us=dur,
-            )
-        )
-        cursor += dur
-
-    # One vectorized draw replaces the per-kernel scalar draws.  A
-    # Generator consumes the stream identically for ``standard_normal(n)``
-    # and n scalar calls, and the arithmetic below matches ``noisy``
-    # op for op, so the factors (and the rng state afterwards) are
-    # bit-identical to the scalar loop.
-    factors: Optional[np.ndarray] = None
-    if rng is not None and jitter > 0 and kernel_bases:
-        factors = np.maximum(
-            0.5, 1.0 + jitter * rng.standard_normal(len(kernel_bases))
-        )
-
-    has_transfers = any(entry[3] for entry in kernel_bases)
-
-    if hardware_hook is None and not has_transfers:
-        # Fast path: durations and start times vectorize.  Both the
-        # elementwise ``(base * factor) * overhead`` and the sequential
-        # left-to-right ``cumsum`` reproduce the scalar loop's float64
-        # operations exactly, so every event is bit-identical.
-        if factors is not None:
-            durs = base_vec * factors * overhead
-        else:
-            durs = base_vec * overhead
-        cum = np.concatenate(([cursor], durs)).cumsum()
-        starts = cum[:-1].tolist()
-        dur_list = durs.tolist()
-        timing.kernel_events.extend(
-            KernelEvent(name, layer, start, dur)
-            for (name, layer, _, _), start, dur in zip(
-                kernel_bases, starts, dur_list
-            )
-        )
-        cursor = float(cum[-1]) if kernel_bases else cursor
-    elif hardware_hook is None:
-        # Partitioned timeline without faults: same vectorized math,
-        # but transfer entries take the memcpy overhead factor and are
-        # recorded as memcpy events mid-stream.
-        overheads = np.array(
-            [
-                memcpy_overhead if entry[3] else overhead
-                for entry in kernel_bases
-            ],
-            dtype=np.float64,
-        )
-        if factors is not None:
-            durs = base_vec * factors * overheads
-        else:
-            durs = base_vec * overheads
-        cum = np.concatenate(([cursor], durs)).cumsum()
-        starts = cum[:-1].tolist()
-        dur_list = durs.tolist()
-        for (name, layer, _, nbytes), start, dur in zip(
-            kernel_bases, starts, dur_list
-        ):
-            if nbytes:
-                timing.memcpy_events.append(
-                    MemcpyEvent(
-                        label=name,
-                        bytes=nbytes,
-                        calls=1,
-                        start_us=start,
-                        duration_us=dur,
-                    )
-                )
-            else:
-                timing.kernel_events.append(
-                    KernelEvent(name, layer, start, dur)
-                )
-        cursor = float(cum[-1]) if kernel_bases else cursor
-    else:
-        for i, (kernel_name, layer_name, base, nbytes) in enumerate(
-            kernel_bases
-        ):
-            if nbytes:
-                if factors is not None:
-                    dur = float(base * factors[i]) * memcpy_overhead
-                else:
-                    dur = base * memcpy_overhead
-                dur *= hardware_hook.memcpy_factor(kernel_name, cursor)
-                timing.memcpy_events.append(
-                    MemcpyEvent(
-                        label=kernel_name,
-                        bytes=nbytes,
-                        calls=1,
-                        start_us=cursor,
-                        duration_us=dur,
-                    )
-                )
-                cursor += dur
-                continue
-            if factors is not None:
-                dur = float(base * factors[i]) * overhead
-            else:
-                dur = base * overhead
-            dur *= hardware_hook.kernel_factor(
-                layer_name, kernel_name, cursor
-            )
-            timing.kernel_events.append(
-                KernelEvent(
-                    kernel_name=kernel_name,
-                    layer_name=layer_name,
-                    start_us=cursor,
-                    duration_us=dur,
-                )
-            )
-            cursor += dur
 
     if profiler is not None:
         profiler.record(timing)

@@ -125,3 +125,11 @@ class MemcpyModel:
     def single(self, nbytes: int) -> TransferCost:
         """One contiguous upload (e.g. the input image)."""
         return self.transfer([nbytes])
+
+    def single_us(self, nbytes: np.ndarray) -> np.ndarray:
+        """``single(n).total_us`` for every ``n`` in ``nbytes``, with
+        the same float64 operations (one call's overhead is exactly
+        ``memcpy_call_overhead_us``)."""
+        dev = self.device
+        eff_bw_gbps = dev.mem_bandwidth_gbps * dev.memcpy_bandwidth_eff
+        return dev.memcpy_call_overhead_us + nbytes / (eff_bw_gbps * 1e3)

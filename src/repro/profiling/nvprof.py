@@ -17,11 +17,13 @@ reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.telemetry.bus import SpanKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.hardware.gpu import InferenceTiming
     from repro.telemetry.bus import TelemetryEvent
 
@@ -101,24 +103,31 @@ class Nvprof:
         return len(self._timings)
 
     # ------------------------------------------------------------------
-    def kernel_summary(self) -> Dict[str, KernelStats]:
-        """Per-kernel aggregate stats across all recorded inferences."""
+    # The summaries read the timings' name and duration columns; they
+    # never build per-event records.
+    @staticmethod
+    def _summarize(
+        rows: Iterable[Tuple[Sequence[str], "np.ndarray"]],
+    ) -> Dict[str, KernelStats]:
         stats: Dict[str, KernelStats] = {}
-        for timing in self._timings:
-            for event in timing.kernel_events:
-                entry = stats.setdefault(
-                    event.kernel_name, KernelStats(event.kernel_name)
-                )
-                entry.add(event.duration_us)
+        for names, durations in rows:
+            for name, duration in zip(names, durations.tolist()):
+                entry = stats.get(name)
+                if entry is None:
+                    entry = stats[name] = KernelStats(name)
+                entry.add(duration)
         return stats
 
+    def kernel_summary(self) -> Dict[str, KernelStats]:
+        """Per-kernel aggregate stats across all recorded inferences."""
+        return self._summarize(
+            (t.kernel_names, t.kernel_durations) for t in self._timings
+        )
+
     def memcpy_summary(self) -> Dict[str, KernelStats]:
-        stats: Dict[str, KernelStats] = {}
-        for timing in self._timings:
-            for event in timing.memcpy_events:
-                entry = stats.setdefault(event.label, KernelStats(event.label))
-                entry.add(event.duration_us)
-        return stats
+        return self._summarize(
+            (t.memcpy_labels, t.memcpy_durations) for t in self._timings
+        )
 
     def invocation_counts(self) -> Dict[str, int]:
         """kernel name -> total invocation count (paper Table XIII)."""
@@ -130,21 +139,27 @@ class Nvprof:
         """All recorded durations (us) of one kernel, in order."""
         out = []
         for timing in self._timings:
-            for event in timing.kernel_events:
-                if event.kernel_name == kernel_name:
-                    out.append(event.duration_us)
+            for name, duration in zip(
+                timing.kernel_names, timing.kernel_durations.tolist()
+            ):
+                if name == kernel_name:
+                    out.append(duration)
         return out
 
     def gpu_trace(self) -> List[tuple]:
         """Chronological (start_us, duration_us, name) trace rows."""
-        rows = []
+        rows: List[tuple] = []
         for timing in self._timings:
-            for event in timing.memcpy_events:
-                rows.append((event.start_us, event.duration_us, event.label))
-            for event in timing.kernel_events:
-                rows.append(
-                    (event.start_us, event.duration_us, event.kernel_name)
-                )
+            rows.extend(zip(
+                timing.memcpy_starts.tolist(),
+                timing.memcpy_durations.tolist(),
+                timing.memcpy_labels,
+            ))
+            rows.extend(zip(
+                timing.kernel_starts.tolist(),
+                timing.kernel_durations.tolist(),
+                timing.kernel_names,
+            ))
         return sorted(rows)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Additional engine-behavior tests: detection kernel pipelines,
-repeated-timing summaries, and fallback paths."""
+"""Additional engine-behavior tests: detection kernel pipelines, the
+lazily built executor, repeated-timing summaries, and fallback paths."""
 
 import numpy as np
 import pytest
 
-from repro.engine import BuilderConfig, EngineBuilder, time_repeated
-from repro.engine.kernels import DEFAULT_CATALOG
+from repro.engine import time_repeated
 from repro.hardware.specs import XAVIER_NX
 
 
@@ -42,6 +41,30 @@ class TestDetectionBindings:
         assert len(det_events) == 4
         total = sum(e.duration_us for e in det_events)
         assert total > 4 * 0.9 * XAVIER_NX.kernel_launch_overhead_us
+
+
+class TestLazyExecutor:
+    def test_timing_only_context_never_schedules_the_graph(
+        self, farm, monkeypatch
+    ):
+        from repro.graph.ir import Graph
+
+        engine = farm.engine("mtcnn", "NX", 0)
+        calls = []
+        real = Graph.toposort
+        monkeypatch.setattr(
+            Graph, "toposort", lambda g: calls.append(g) or real(g)
+        )
+        context = engine.create_execution_context()
+        context.time_inference(jitter=0.0)
+        assert calls == []
+        name = next(iter(engine.graph.input_specs))
+        x = np.zeros(
+            (1,) + engine.graph.input_specs[name].shape, dtype=np.float32
+        )
+        context.execute(**{name: x})
+        context.execute(**{name: x})
+        assert calls == [engine.graph]
 
 
 class TestTimeRepeated:

@@ -88,8 +88,8 @@ class TestBandwidthFaults:
             _window(FaultKind.DRAM_DEGRADATION, severity=5)
         )
         injector.set_time(1.5)
-        assert injector.memcpy_factor("x", 0.0) == pytest.approx(2.0)
-        assert injector.kernel_factor("conv1", "k", 0.0) == pytest.approx(2.0)
+        assert injector.memcpy_factor("x") == pytest.approx(2.0)
+        assert injector.kernel_factor("conv1", "k") == pytest.approx(2.0)
         assert injector.bandwidth_scale() == pytest.approx(0.5)
 
     def test_inactive_window_is_exactly_neutral(self):
@@ -97,8 +97,8 @@ class TestBandwidthFaults:
             _window(FaultKind.DRAM_DEGRADATION, severity=5)
         )
         injector.set_time(0.0)
-        assert injector.memcpy_factor("x", 0.0) == 1.0
-        assert injector.kernel_factor("conv1", "k", 0.0) == 1.0
+        assert injector.memcpy_factor("x") == 1.0
+        assert injector.kernel_factor("conv1", "k") == 1.0
         assert injector.bandwidth_scale() == 1.0
 
     def test_stall_fires_deterministically_per_seed(self):
@@ -113,7 +113,7 @@ class TestBandwidthFaults:
             )
             injector = FaultInjector(plan)
             injector.set_time(0.5)
-            return [injector.memcpy_factor("x", 0.0) for _ in range(50)]
+            return [injector.memcpy_factor("x") for _ in range(50)]
 
         assert run(3) == run(3)
         assert run(3) != run(4)
@@ -126,7 +126,7 @@ class TestBandwidthFaults:
         )
         injector = FaultInjector(plan)
         injector.set_time(0.0)
-        factor = injector.memcpy_factor("input HtoD", 12.0)
+        factor = injector.memcpy_factor("input HtoD")
         [event] = injector.log.of_kind(FaultKind.MEMCPY_STALL)
         assert event.target == "input HtoD"
         assert event.detail("factor") == pytest.approx(factor) == 4.0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder, PrecisionMode
 from repro.hardware.baseline import UnoptimizedRuntime
-from repro.hardware.gpu import simulate_inference
 from repro.hardware.scheduler import StreamScheduler
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
 from repro.profiling.nvprof import Nvprof
@@ -88,6 +87,153 @@ class TestSimulateInference:
         ctx = engine.create_execution_context()
         with pytest.raises(ValueError, match="mem_contention"):
             ctx.time_inference(jitter=0.0, mem_contention=0.5)
+
+
+class TestTimelineInputs:
+    """Arguments that would give a silently wrong timeline are
+    rejected up front, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mem_contention": float("nan")}, "mem_contention"),
+            ({"mem_contention": float("inf")}, "mem_contention"),
+            ({"clock_mhz": -100.0}, "clock_mhz"),
+            ({"clock_mhz": float("nan")}, "clock_mhz"),
+            ({"clock_mhz": float("inf")}, "clock_mhz"),
+            ({"batch_size": 2.5}, "batch_size"),
+            ({"sm_fraction": 0.0}, r"sm_fraction must be in \(0, 1\]"),
+            ({"sm_fraction": 1.5}, r"sm_fraction must be in \(0, 1\]"),
+            ({"sm_fraction": float("nan")}, r"sm_fraction must be in \(0, 1\]"),
+        ],
+        ids=[
+            "contention-nan", "contention-inf", "clock-negative",
+            "clock-nan", "clock-inf", "batch-fractional", "sm-zero",
+            "sm-above-one", "sm-nan",
+        ],
+    )
+    def test_rejected(self, engine, kwargs, match):
+        ctx = engine.create_execution_context()
+        with pytest.raises(ValueError, match=match):
+            ctx.time_inference(jitter=0.0, **kwargs)
+
+    def test_numpy_integer_batch_is_a_batch(self, engine):
+        ctx = engine.create_execution_context()
+        plain = ctx.time_inference(jitter=0.0, batch_size=4)
+        assert ctx.time_inference(jitter=0.0, batch_size=np.int64(4)) == plain
+
+    @pytest.mark.parametrize("clock", [0, None])
+    def test_zero_or_no_clock_means_max_clock(self, engine, clock):
+        ctx = engine.create_execution_context()
+        at_max = ctx.time_inference(
+            jitter=0.0, clock_mhz=XAVIER_NX.max_gpu_clock_mhz
+        )
+        assert ctx.time_inference(jitter=0.0, clock_mhz=clock) == at_max
+
+
+class TestColumnarTiming:
+    @pytest.fixture(scope="class")
+    def jittered(self, engine):
+        ctx = engine.create_execution_context()
+        rng = np.random.default_rng(3)
+        return [ctx.time_inference(rng=rng) for _ in range(3)]
+
+    def test_events_match_the_columns(self, jittered):
+        for timing in jittered:
+            assert [
+                (e.kernel_name, e.layer_name, e.start_us, e.duration_us)
+                for e in timing.kernel_events
+            ] == list(zip(
+                timing.kernel_names,
+                timing.kernel_layers,
+                timing.kernel_starts.tolist(),
+                timing.kernel_durations.tolist(),
+            ))
+            assert timing.kernel_events is timing.kernel_events
+
+    def test_nvprof_summaries_read_the_columns(self, engine, monkeypatch):
+        from repro.hardware.gpu import InferenceTiming
+
+        profiler = Nvprof()
+        ctx = engine.create_execution_context()
+        for seed in range(3):
+            ctx.time_inference(rng=np.random.default_rng(seed), profiler=profiler)
+
+        def no_events(self):
+            raise AssertionError("summary built per-event records")
+
+        for name in ("kernel_events", "memcpy_events"):
+            monkeypatch.setattr(InferenceTiming, name, property(no_events))
+        assert sum(s.calls for s in profiler.kernel_summary().values()) == (
+            3 * engine.num_kernels
+        )
+        assert profiler.memcpy_summary()
+        assert profiler.gpu_trace()
+        assert profiler.invocation_durations(engine.kernel_names()[0])
+
+
+#: The NX models whose jittered kernel totals differ most often between
+#: a left-to-right and a compensated float sum.
+SUM_MODELS = (
+    "googlenet", "resnet18", "mobilenet_v1", "inception_v4", "tiny_yolov3",
+)
+
+
+_BUILTIN_SUM = sum
+
+
+def neumaier_sum(iterable, start=0):
+    """Builtin ``sum()`` as Python 3.12 computes it: compensated over
+    floats, exact over everything else."""
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+class TestHostIndependentTotals:
+    def _totals(self, farm):
+        out = []
+        for model in SUM_MODELS:
+            ctx = farm.engine(model, "NX").create_execution_context()
+            rng = np.random.default_rng(17)
+            for _ in range(20):
+                timing = ctx.time_inference(rng=rng)
+                out.append(
+                    (timing.kernel_us, timing.memcpy_us, timing.total_us)
+                )
+        return out
+
+    def test_totals_do_not_depend_on_builtin_sum(self, farm, monkeypatch):
+        import builtins
+
+        sequential = self._totals(farm)
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", neumaier_sum)
+            compensated = self._totals(farm)
+        assert [tuple(x.hex() for x in row) for row in compensated] == [
+            tuple(x.hex() for x in row) for row in sequential
+        ]
+
+    def test_totals_are_left_to_right_sums(self, farm):
+        from tests.hardware.reference_timeline import left_to_right_sum
+
+        ctx = farm.engine("inception_v4", "NX").create_execution_context()
+        timing = ctx.time_inference(rng=np.random.default_rng(5))
+        assert timing.kernel_us == left_to_right_sum(
+            timing.kernel_durations.tolist()
+        )
+        assert timing.memcpy_us == left_to_right_sum(
+            timing.memcpy_durations.tolist()
+        )
 
 
 class TestUnoptimizedBaseline:
