@@ -52,6 +52,13 @@ class DegradationConfig:
     min_dwell_ms: float = 250.0
     enabled: bool = True
 
+    def __post_init__(self) -> None:
+        top = max(_PRECISION_BIAS)
+        if not 0 <= self.max_level <= top:
+            raise ValueError(
+                f"max_level must be in 0..{top}, got {self.max_level}"
+            )
+
 
 class DegradationGovernor:
     """Walks the fleet degradation ladder from observed attainment."""

@@ -16,6 +16,7 @@ resilient fleet face the *same* arrivals and the *same* outages.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
@@ -140,11 +141,15 @@ class FleetSimulator:
         )
         self.plan = plan
         self.resilient = resilient
-        config = router_config or RouterConfig()
-        config.resilient = resilient
+        # Copies: the caller's configs may be reused for another run.
+        config = dataclasses.replace(
+            router_config or RouterConfig(), resilient=resilient
+        )
         self.router = FleetRouter(self.devices, self.policy, config)
         degr = degradation or DegradationConfig()
-        degr.enabled = degr.enabled and resilient
+        degr = dataclasses.replace(
+            degr, enabled=degr.enabled and resilient
+        )
         self.governor = DegradationGovernor(self.devices, degr)
         self.record_outcomes = record_outcomes
 
@@ -163,14 +168,21 @@ class FleetSimulator:
             device.emit_restores()
 
         outcomes: List[DispatchOutcome] = []
+        tick = self.router.tick
+        route = self.router.route
+        shed = self.router.shed
+        should_shed = self.governor.should_shed
+        observe = self.governor.observe
+        record = outcomes.append
         for request in requests:
-            self.router.tick(request.t_ms)
-            if self.governor.should_shed(request):
-                outcome = self.router.shed(request, request.t_ms)
+            t_ms = request.t_ms
+            tick(t_ms)
+            if should_shed(request):
+                outcome = shed(request, t_ms)
             else:
-                outcome = self.router.route(request)
-            self.governor.observe(outcome, request.t_ms)
-            outcomes.append(outcome)
+                outcome = route(request)
+            observe(outcome, t_ms)
+            record(outcome)
 
         return self._report(outcomes, windows, duration_ms)
 

@@ -78,12 +78,35 @@ class TrafficModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.base_rps <= 0:
-            raise ValueError("base_rps must be positive")
+        for name in ("duration_s", "base_rps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )
+        if not abs(self.diurnal_amplitude) <= 1.0:
+            raise ValueError(
+                "diurnal_amplitude must be in [-1, 1], got "
+                f"{self.diurnal_amplitude}"
+            )
+        if not (math.isfinite(self.burst_mult) and self.burst_mult >= 0):
+            raise ValueError(
+                f"burst_mult must be finite and >= 0, got {self.burst_mult}"
+            )
         if not self.models:
             self.models = {"model0": 1.0}
+        for name in ("models", "priorities"):
+            weights = [float(w) for w in getattr(self, name).values()]
+            if not all(math.isfinite(w) and w >= 0 for w in weights):
+                raise ValueError(
+                    f"{name} weights must be finite and >= 0, got "
+                    f"{getattr(self, name)}"
+                )
+            if not sum(weights) > 0:
+                raise ValueError(
+                    f"{name} weights must have a positive sum, got "
+                    f"{getattr(self, name)}"
+                )
 
     # ------------------------------------------------------------------
     def rate_rps(self, t_s: float) -> float:
@@ -145,6 +168,8 @@ class TrafficModel:
         model_cdf /= model_cdf[-1]
         prio_cdf = prio_p.cumsum()
         prio_cdf /= prio_cdf[-1]
+        priorities = [int(p) for p in prio_values]
+        deadline_ms = self.deadline_ms
         requests: List[FleetRequest] = []
         slots = int(math.ceil(self.duration_s * 1000.0 / SLOT_MS))
         burst_left = 0
@@ -161,20 +186,21 @@ class TrafficModel:
             mean = rate * SLOT_MS / 1000.0
             count = int(rng.poisson(mean))
             offsets = np.sort(rng.uniform(0.0, SLOT_MS, size=count))
-            for offset in offsets:
+            # Each request draws its model uniform, then its priority
+            # uniform: one vector draw of 2 * count doubles is the same
+            # stream as 2 * count scalar draws, interleaved.
+            draws = rng.random(2 * count)
+            models = model_cdf.searchsorted(draws[0::2], side="right")
+            prios = prio_cdf.searchsorted(draws[1::2], side="right")
+            for t_ms, m, p in zip(
+                (start_ms + offsets).tolist(),
+                models.tolist(),
+                prios.tolist(),
+            ):
                 requests.append(
                     FleetRequest(
-                        rid=rid,
-                        t_ms=float(start_ms + offset),
-                        model=model_names[
-                            int(model_cdf.searchsorted(rng.random(), side="right"))
-                        ],
-                        priority=int(
-                            prio_values[
-                                int(prio_cdf.searchsorted(rng.random(), side="right"))
-                            ]
-                        ),
-                        deadline_ms=self.deadline_ms,
+                        rid, t_ms, model_names[m], priorities[p],
+                        deadline_ms,
                     )
                 )
                 rid += 1

@@ -131,3 +131,14 @@ class TestDisabled:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError, match="window"):
             make_governor(window=0)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("max_level", [-1, 4, 5])
+    def test_rejects_levels_off_the_ladder(self, max_level):
+        with pytest.raises(ValueError, match="max_level"):
+            DegradationConfig(max_level=max_level)
+
+    @pytest.mark.parametrize("max_level", [0, 1, 2, 3])
+    def test_accepts_every_ladder_level(self, max_level):
+        assert DegradationConfig(max_level=max_level).max_level == max_level

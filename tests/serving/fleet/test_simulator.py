@@ -170,3 +170,19 @@ class TestReportShape:
         report = run_fleet(devices, traffic, record_outcomes=True)
         assert len(report.outcomes) == report.requests
         assert all("deadline_met" in o for o in report.outcomes)
+
+
+class TestCallerConfigs:
+    def test_a_run_leaves_the_callers_configs_unchanged(self, farm):
+        from repro.serving.fleet import DegradationConfig, RouterConfig
+
+        devices = build_fleet(SPEC, farm=farm, seed=7, clock_mhz=230.0)
+        traffic = default_traffic(devices, duration_s=0.3, seed=7)
+        router_config = RouterConfig()
+        degradation = DegradationConfig()
+        run_fleet(devices, traffic, resilient=False,
+                  router_config=router_config, degradation=degradation)
+        # A blind run must not switch off resilience or the ladder for
+        # a later resilient run that reuses the same objects.
+        assert router_config == RouterConfig()
+        assert degradation == DegradationConfig()

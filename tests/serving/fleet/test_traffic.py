@@ -76,3 +76,29 @@ class TestValidation:
 
     def test_default_model_mix_is_filled_in(self):
         assert TrafficModel().models == {"model0": 1.0}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"duration_s": float("nan")}, "duration_s"),
+            ({"duration_s": float("inf")}, "duration_s"),
+            ({"base_rps": float("nan")}, "base_rps"),
+            ({"base_rps": float("inf")}, "base_rps"),
+            ({"diurnal_amplitude": 1.5}, "diurnal_amplitude"),
+            ({"diurnal_amplitude": float("nan")}, "diurnal_amplitude"),
+            ({"burst_mult": -1.0}, "burst_mult"),
+            ({"burst_mult": float("nan")}, "burst_mult"),
+            ({"models": {"a": 0.0}}, "models"),
+            ({"models": {"a": -1.0, "b": 2.0}}, "models"),
+            ({"models": {"a": float("nan")}}, "models"),
+            ({"models": {"a": float("inf")}}, "models"),
+            ({"priorities": {0: 0.0, 1: 0.0}}, "priorities"),
+            ({"priorities": {0: -1.0, 1: 1.0}}, "priorities"),
+            ({"priorities": {}}, "priorities"),
+        ],
+    )
+    def test_rejects_bad_values_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TrafficModel(**kwargs)
