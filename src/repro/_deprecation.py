@@ -1,9 +1,9 @@
 """Warn-once deprecation plumbing for the redesigned API surface.
 
-Legacy entry points (``profiling.to_chrome_trace``, the supervisor's
-``tegrastats=`` kwarg, ...) keep working as thin shims, but they route
-through :func:`warn_once` so each distinct shim warns exactly once per
-process — loud enough to notice, quiet enough not to flood a sweep that
+Legacy entry points (``profiling.to_chrome_trace`` and
+``profiling.save_chrome_trace``) keep working as thin shims, but they
+route through :func:`warn_once` so each distinct shim warns exactly once
+per process — loud enough to notice, quiet enough not to flood a sweep that
 calls the old function ten thousand times.
 """
 

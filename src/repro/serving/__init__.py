@@ -40,7 +40,6 @@ from repro.serving.supervisor import (
     StreamSpec,
     SupervisorConfig,
     load_or_rebuild,
-    load_or_rebuild_engine,
     run_fault_comparison,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "StreamSpec",
     "SupervisorConfig",
     "load_or_rebuild",
-    "load_or_rebuild_engine",
     "run_fault_comparison",
 ]

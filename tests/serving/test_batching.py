@@ -167,7 +167,7 @@ class TestSupervisorBatching:
 
     def test_max_batch_one_is_bit_identical_to_unbatched(self, engine):
         """A degenerate max_batch=1 queue with a single stream must
-        reproduce the pre-batching serving path record-for-record."""
+        reproduce unbatched serving record-for-record."""
         batched = self._serve(
             engine,
             BatchingConfig(max_batch=1, max_wait_ms=0.0),

@@ -1,60 +1,14 @@
-"""API-normalization regression tests: the legacy implicit-TRT entry
-points stay bit-identical behind warn-once ``repro._deprecation``
-shims, and the canonical ``provider=`` axis threads through the
-supervisor's store path."""
+"""API-normalization regression tests: the canonical ``provider=`` axis
+threads through plan rebuilds and the supervisor's store path."""
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
-
-from repro._deprecation import reset_warnings
-from repro.engine import BuilderConfig, EngineBuilder, EngineStore
-from repro.engine.plan import save_plan
+from repro.engine import BuilderConfig, EngineStore
 from repro.hardware.specs import XAVIER_NX
-from repro.serving import load_or_rebuild, load_or_rebuild_engine
+from repro.serving import load_or_rebuild
 from repro.serving.supervisor import InferenceSupervisor, StreamSpec
-
-
-@pytest.fixture()
-def plan_path(tmp_path, small_cnn):
-    engine = EngineBuilder(XAVIER_NX, BuilderConfig(seed=0)).build(
-        small_cnn
-    )
-    path = tmp_path / "ok.plan"
-    save_plan(engine, path)
-    return path
-
-
-class TestLegacyShim:
-    def test_warns_exactly_once(self, plan_path, small_cnn):
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            load_or_rebuild_engine(plan_path, small_cnn, XAVIER_NX)
-            load_or_rebuild_engine(plan_path, small_cnn, XAVIER_NX)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "load_or_rebuild_engine" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-
-    def test_bit_identical_with_canonical(self, plan_path, small_cnn):
-        reset_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy, legacy_rebuilt = load_or_rebuild_engine(
-                plan_path, small_cnn, XAVIER_NX
-            )
-        canonical, rebuilt = load_or_rebuild(
-            plan_path, small_cnn, XAVIER_NX
-        )
-        assert legacy_rebuilt == rebuilt
-        assert legacy.kernel_names() == canonical.kernel_names()
-        assert legacy.name == canonical.name
-        assert legacy.size_bytes == canonical.size_bytes
 
 
 class TestCanonicalProviderAxis:

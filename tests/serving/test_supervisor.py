@@ -18,7 +18,7 @@ from repro.serving import (
     InferenceSupervisor,
     StreamSpec,
     SupervisorConfig,
-    load_or_rebuild_engine,
+    load_or_rebuild,
     run_fault_comparison,
 )
 
@@ -357,7 +357,7 @@ class TestLoadOrRebuild:
 
         path = tmp_path / "ok.plan"
         save_plan(engine, path)
-        loaded, rebuilt = load_or_rebuild_engine(
+        loaded, rebuilt = load_or_rebuild(
             path, small_cnn, XAVIER_NX
         )
         assert not rebuilt
@@ -387,7 +387,7 @@ class TestLoadOrRebuild:
         )
         assert injector.corrupt_artifact(plan_path) is not None
 
-        rebuilt_engine, rebuilt = load_or_rebuild_engine(
+        rebuilt_engine, rebuilt = load_or_rebuild(
             plan_path,
             small_cnn,
             XAVIER_NX,
@@ -428,7 +428,7 @@ class TestLoadOrRebuild:
         cache.save(tmp_path / "shipped.plan.timing")  # sidecar
 
         plan_path.write_bytes(b"garbage")  # corruption
-        rebuilt_engine, rebuilt = load_or_rebuild_engine(
+        rebuilt_engine, rebuilt = load_or_rebuild(
             plan_path, small_cnn, XAVIER_NX  # no builder_config
         )
         assert rebuilt
@@ -438,7 +438,7 @@ class TestLoadOrRebuild:
         plan_path = tmp_path / "orphan.plan"
         plan_path.write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning, match="rebuilding .* cold"):
-            engine, rebuilt = load_or_rebuild_engine(
+            engine, rebuilt = load_or_rebuild(
                 plan_path, small_cnn, XAVIER_NX
             )
         assert rebuilt
@@ -457,7 +457,7 @@ class TestLoadOrRebuild:
         )
         plan_path = tmp_path / "served.plan"
         plan_path.write_bytes(b"garbage")
-        engine, rebuilt = load_or_rebuild_engine(
+        engine, rebuilt = load_or_rebuild(
             plan_path,
             small_cnn,
             XAVIER_NX,

@@ -8,9 +8,7 @@ import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder
 from repro.hardware.specs import XAVIER_NX
-from repro.profiling import Tegrastats
 from repro.profiling.chrome_trace import save_chrome_trace, to_chrome_trace
-from repro.serving.supervisor import InferenceSupervisor, StreamSpec
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +56,6 @@ class TestWarnOnce:
             to_chrome_trace(timing)
             save_chrome_trace([timing], tmp_path / "c.json")
         assert len(_deprecations(record)) == 2
-
-    def test_supervisor_tegrastats_kwarg_warns_exactly_once(self, engine):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                InferenceSupervisor(
-                    engine,
-                    streams=[StreamSpec("cam0")],
-                    tegrastats=Tegrastats(),
-                )
-        assert len(_deprecations(record)) == 1
-        assert "session" in str(_deprecations(record)[0].message)
 
 
 class TestLegacyImportsStillResolve:
