@@ -65,8 +65,20 @@ class FaultScenario:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
-        if self.duration_s < 0 or self.start_s < 0:
-            raise ValueError("start_s and duration_s must be non-negative")
+        if not math.isfinite(self.start_s) or self.start_s < 0:
+            raise ValueError(
+                f"start_s must be finite and non-negative, "
+                f"got {self.start_s}"
+            )
+        # inf is allowed: it means an open-ended window.
+        if math.isnan(self.duration_s) or self.duration_s < 0:
+            raise ValueError(
+                f"duration_s must be non-negative, got {self.duration_s}"
+            )
+        if self.amplitude is not None and not math.isfinite(self.amplitude):
+            raise ValueError(
+                f"amplitude must be finite, got {self.amplitude}"
+            )
         if not self.name:
             object.__setattr__(self, "name", self.kind.value)
 

@@ -1,5 +1,6 @@
 """FaultScenario / FaultPlan declarations and JSON round-tripping."""
 
+import json
 import math
 
 import pytest
@@ -43,6 +44,33 @@ class TestFaultScenario:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             FaultScenario(kind=FaultKind.OOM, start_s=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, make",
+        [
+            ("start_s", lambda: FaultScenario(
+                kind=FaultKind.DEVICE_CRASH, start_s=math.nan)),
+            ("start_s", lambda: FaultScenario(
+                kind=FaultKind.OOM, start_s=math.inf)),
+            ("duration_s", lambda: FaultScenario(
+                kind=FaultKind.DEVICE_CRASH, duration_s=math.nan)),
+            ("amplitude", lambda: FaultScenario(
+                kind=FaultKind.KERNEL_HANG, amplitude=math.nan)),
+            ("amplitude", lambda: FaultScenario(
+                kind=FaultKind.THERMAL_THROTTLE, amplitude=-math.inf)),
+            # Python's json reads a bare NaN, so a plan file can carry one.
+            ("amplitude", lambda: FaultPlan.from_dict(json.loads(
+                '{"scenarios": [{"kind": "kernel_hang", "amplitude": NaN}]}'
+            ))),
+        ],
+        ids=[
+            "nan_start", "inf_start", "nan_duration", "nan_amplitude",
+            "inf_amplitude", "nan_amplitude_from_json",
+        ],
+    )
+    def test_non_finite_window_or_amplitude_rejected(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
 
     def test_round_trip_preserves_fields(self):
         s = FaultScenario(
