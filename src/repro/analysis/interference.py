@@ -176,9 +176,7 @@ def _profile(
     timing = context.time_inference(
         clock_mhz=clock_mhz, include_engine_upload=False, jitter=0.0
     )
-    traffic = float(
-        sum(b.workload.total_bytes for b in engine.bindings)
-    )
+    traffic = float(engine.workload_bytes(1))
     return ModelProfile(
         name=name,
         bound=(

@@ -141,10 +141,6 @@ class StreamScheduler:
     def per_stream_memory_mb(self, batch_size: int = 1) -> float:
         """Activation + engine working set of one stream (MB); the
         admission-control unit the serving supervisor budgets with."""
-        return self._per_stream_memory_mb(batch_size)
-
-    def _per_stream_memory_mb(self, batch_size: int = 1) -> float:
-        """Activation + engine working set of one stream (MB)."""
         working = per_stream_working_set_bytes(
             self.engine.graph, self._activation_itemsize(), batch_size
         )
@@ -168,15 +164,6 @@ class StreamScheduler:
         )
         return timing.kernel_us
 
-    def _per_inference_traffic_bytes(self, batch_size: int = 1) -> float:
-        """DRAM bytes moved per inference (activations + weights)."""
-        return float(
-            sum(
-                b.workload.for_batch(batch_size).total_bytes
-                for b in self.engine.bindings
-            )
-        )
-
     # ------------------------------------------------------------------
     def max_supported_threads(
         self,
@@ -194,7 +181,7 @@ class StreamScheduler:
         """
         clock = clock_mhz or self.device.max_gpu_clock_mhz
         latency_us = self._single_stream_compute_us(clock, batch_size)
-        traffic = self._per_inference_traffic_bytes(batch_size)
+        traffic = float(self.engine.workload_bytes(batch_size))
         # Eq. 1: N = O(Fmem * Bwid / Bth). Per-thread demand at full
         # speed is traffic / latency; the usable share of peak DRAM
         # bandwidth caps the total.  An engine whose bindings move no
@@ -216,7 +203,7 @@ class StreamScheduler:
             - self._ram_stolen_mb()
             - self.resident_mb,
         )
-        n_ram = int(ram_mb / self._per_stream_memory_mb(batch_size))
+        n_ram = int(ram_mb / self.per_stream_memory_mb(batch_size))
         # Host submission bound: each stream issues num_kernels launches
         # per inference; the ARM cores sustain a finite submit rate.
         # Batching amortizes submissions: one batched inference still
@@ -255,7 +242,7 @@ class StreamScheduler:
         limit = max_threads or supported
         limit = min(limit, supported)
         latency_us = self._single_stream_compute_us(clock, batch_size)
-        traffic = self._per_inference_traffic_bytes(batch_size)
+        traffic = float(self.engine.workload_bytes(batch_size))
         usable_bw = (
             self.device.mem_bandwidth_gbps * 1e9 * UTILIZATION_CEILING
             * self._bandwidth_scale()
@@ -272,7 +259,7 @@ class StreamScheduler:
         # host submission rate or DRAM bandwidth, whichever is lower.
         fps_host_cap = supported * batch_size * 1e6 / latency_us
         fps_cap = min(fps_bw_cap, fps_host_cap)
-        per_stream_mb = self._per_stream_memory_mb(batch_size)
+        per_stream_mb = self.per_stream_memory_mb(batch_size)
 
         counts = [1] + list(range(step, limit + 1, step))
         if counts[-1] != limit:

@@ -340,15 +340,6 @@ class ColocationScheduler:
             ].create_execution_context(self.device)
         return self._contexts[name]
 
-    def _traffic_bytes(self, idx: int) -> float:
-        batch = self.tenants[idx].batch_size
-        return float(
-            sum(
-                b.workload.for_batch(batch).total_bytes
-                for b in self.engines[idx].bindings
-            )
-        )
-
     def _usable_bw_bps(self) -> float:
         return (
             self.device.mem_bandwidth_gbps * 1e9 * UTILIZATION_CEILING
@@ -408,9 +399,10 @@ class ColocationScheduler:
                 partition_us[idx] = part.total_us
             else:
                 partition_us[idx] = iso.total_us
-            demand_bps[idx] = (
-                self._traffic_bytes(idx) / partition_us[idx] * 1e6
+            traffic = float(
+                self.engines[idx].workload_bytes(tenant.batch_size)
             )
+            demand_bps[idx] = traffic / partition_us[idx] * 1e6
 
         # Pass 2 — cross-tenant DRAM contention.  Time slicing
         # serializes DRAM access (one tenant runs at a time), so only

@@ -357,8 +357,7 @@ class TestStreamScheduler:
         bounds still apply), not crash."""
         sched = StreamScheduler(engine)
         monkeypatch.setattr(
-            sched, "_per_inference_traffic_bytes",
-            lambda batch_size=1: 0.0,
+            engine, "workload_bytes", lambda batch_size=1: 0
         )
         supported = sched.max_supported_threads()
         assert supported > 0
