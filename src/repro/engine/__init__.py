@@ -23,7 +23,6 @@ from repro.engine.engine import (
     ExecutionContext,
     InferenceOutcome,
     LayerBinding,
-    time_repeated,
 )
 from repro.engine.kernels import KernelCatalog, KernelSpec
 from repro.engine.store import (
@@ -53,5 +52,4 @@ __all__ = [
     "config_fingerprint",
     "network_digest",
     "store_key",
-    "time_repeated",
 ]

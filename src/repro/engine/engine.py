@@ -219,7 +219,6 @@ class ExecutionContext:
         self,
         clock_mhz: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
-        profiler: Optional["Nvprof"] = None,
         **inputs: np.ndarray,
     ) -> "InferenceOutcome":
         """Numeric outputs plus timing for one inference.  The timing's
@@ -232,7 +231,6 @@ class ExecutionContext:
         timing = self.time_inference(
             clock_mhz=clock_mhz,
             rng=rng,
-            profiler=profiler,
             batch_size=batch_size,
         )
         return InferenceOutcome(result=outputs, timing=timing)
@@ -244,46 +242,3 @@ class InferenceOutcome:
 
     result: ExecutionResult
     timing: "InferenceTiming"
-
-
-@dataclass
-class InferenceTimingSummary:
-    """Aggregate statistics over repeated timed runs (the paper reports
-    mean and standard deviation over 10 runs)."""
-
-    mean_ms: float
-    std_ms: float
-    runs: int
-
-    def __str__(self) -> str:
-        return f"{self.mean_ms:.2f}({self.std_ms:.2f})"
-
-
-def time_repeated(
-    context: ExecutionContext,
-    runs: int = 10,
-    seed: int = 0,
-    clock_mhz: Optional[float] = None,
-    include_engine_upload: bool = True,
-    profiler: Optional["Nvprof"] = None,
-) -> InferenceTimingSummary:
-    """Average latency over ``runs`` executions (paper methodology:
-    each engine is run 10 times; mean and std-dev are reported)."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(runs):
-        timing = context.time_inference(
-            clock_mhz=clock_mhz,
-            include_engine_upload=include_engine_upload,
-            rng=rng,
-            profiler=profiler,
-        )
-        samples.append(timing.total_us / 1e3)
-    arr = np.asarray(samples)
-    # Sample std (ddof=1): the paper's "mean (std) over 10 runs" is an
-    # estimate from 10 draws, not a population parameter.
-    return InferenceTimingSummary(
-        mean_ms=float(arr.mean()),
-        std_ms=float(arr.std(ddof=1)) if runs > 1 else 0.0,
-        runs=runs,
-    )

@@ -1,10 +1,9 @@
 """Additional engine-behavior tests: detection kernel pipelines, the
-lazily built executor, repeated-timing summaries, and fallback paths."""
+lazily built executor, and fallback paths."""
 
 import numpy as np
 import pytest
 
-from repro.engine import time_repeated
 from repro.hardware.specs import XAVIER_NX
 
 
@@ -65,24 +64,6 @@ class TestLazyExecutor:
         context.execute(**{name: x})
         context.execute(**{name: x})
         assert calls == [engine.graph]
-
-
-class TestTimeRepeated:
-    def test_summary_statistics(self, farm):
-        engine = farm.engine("mtcnn", "NX", 0)
-        context = engine.create_execution_context()
-        summary = time_repeated(context, runs=8, seed=3, clock_mhz=599.0)
-        assert summary.runs == 8
-        assert summary.mean_ms > 0
-        assert summary.std_ms >= 0
-        assert "(" in str(summary)
-
-    def test_seed_reproducible(self, farm):
-        engine = farm.engine("mtcnn", "NX", 0)
-        context = engine.create_execution_context()
-        a = time_repeated(context, runs=5, seed=9)
-        b = time_repeated(context, runs=5, seed=9)
-        assert a.mean_ms == b.mean_ms
 
 
 class TestCatalogFallbacks:
