@@ -11,7 +11,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis.engines import EngineFarm

@@ -9,7 +9,7 @@ exceed their NX counterparts (tile-padded tensor-core weight formats).
 """
 
 from repro.graph.ir import LayerKind
-from repro.models import MODEL_REGISTRY, build_model
+from repro.models import MODEL_REGISTRY
 
 from conftest import print_table
 

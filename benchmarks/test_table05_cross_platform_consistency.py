@@ -6,9 +6,6 @@ shape: every pairing shows a small non-zero number of differing
 predictions (0.1-0.8% of the prediction count).
 """
 
-import numpy as np
-import pytest
-
 from conftest import print_table
 
 #: inception-v4 is numerically heavy; it gets a reduced image count at

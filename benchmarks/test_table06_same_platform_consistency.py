@@ -6,10 +6,6 @@ set of predictions — the paper's strongest non-determinism claim, and
 the one with legal implications for automated fining (Section VI).
 """
 
-import os
-
-import pytest
-
 from conftest import print_table
 
 MODELS = ("resnet18", "vgg16", "inception_v4", "alexnet")

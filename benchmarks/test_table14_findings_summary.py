@@ -4,8 +4,6 @@ Rendered from the measured artifacts: each qualitative row is checked
 against a quantitative result produced by the harness in this run.
 """
 
-import numpy as np
-
 from repro.analysis.consistency import consistency_report
 from repro.analysis.latency import engine_variance, latency_matrix
 from repro.analysis.report import FINDINGS, findings_table

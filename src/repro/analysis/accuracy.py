@@ -16,7 +16,6 @@ from repro.analysis.config import current_scale
 from repro.analysis.engines import EngineFarm
 from repro.data.corruptions import corrupt_batch
 from repro.data.synthetic import LabeledBatch, SyntheticImageNet
-from repro.graph.ir import Graph
 from repro.metrics.accuracy import top1_error
 from repro.runtime.executor import GraphExecutor
 

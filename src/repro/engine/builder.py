@@ -38,7 +38,6 @@ from repro.engine.passes import (
     CalibrationCache,
     PassReport,
     calibrate_int8,
-    find_mergeable_groups,
     fuse_vertically,
     merge_horizontally,
     plan_quantization,

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.graph.ir import Graph, GraphError
 
 from repro.lint.core import (
-    Diagnostic,
     LintReport,
     LintRule,
     register_rule,

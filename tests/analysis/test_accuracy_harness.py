@@ -2,7 +2,6 @@
 in benchmarks/)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.accuracy import (
     AccuracyRow,

@@ -4,11 +4,12 @@ These use the structure-only farm (cheap builds) and small image
 subsets; the full paper-scale runs live in benchmarks/.
 """
 
-import numpy as np
 import pytest
 
+from repro.analysis.bsp import prediction_across_engines
+from repro.analysis.concurrency import concurrency_sweep
 from repro.analysis.config import current_scale
-from repro.analysis.engines import EngineFarm, device_by_name
+from repro.analysis.engines import device_by_name
 from repro.analysis.latency import (
     LATENCY_MODELS,
     engine_variance,
@@ -18,15 +19,13 @@ from repro.analysis.latency import (
     memcpy_split,
     paper_clock_for,
 )
-from repro.analysis.throughput import classification_throughput
-from repro.analysis.concurrency import concurrency_sweep
-from repro.analysis.bsp import prediction_across_engines
 from repro.analysis.report import (
     APPLICATION_IMPACTS,
     FINDINGS,
     application_impact_table,
     findings_table,
 )
+from repro.analysis.throughput import classification_throughput
 
 
 class TestScaleConfig:

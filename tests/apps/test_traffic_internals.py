@@ -1,6 +1,5 @@
 """Additional traffic-controller behavior tests."""
 
-import numpy as np
 import pytest
 
 from repro.apps.traffic import FineRecord, IntersectionController, SignalPlan

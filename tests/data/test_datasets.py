@@ -11,7 +11,7 @@ from repro.data.corruptions import (
     corrupt_batch,
 )
 from repro.data.synthetic import SyntheticImageNet
-from repro.data.traffic import TrafficSceneDataset, VEHICLE_CLASSES
+from repro.data.traffic import VEHICLE_CLASSES
 
 
 class TestSyntheticImageNet:

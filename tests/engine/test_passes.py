@@ -2,7 +2,6 @@
 quantization planning)."""
 
 import numpy as np
-import pytest
 
 from repro.engine.passes import (
     calibrate_int8,

@@ -3,7 +3,6 @@ workspace limit (kernel filtering)."""
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder

@@ -1,8 +1,6 @@
 """FaultInjector behaviour: every fault family, seeded determinism,
 and the zero-fault pass-through guarantee."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,6 +1,5 @@
 """Unit tests for static shape inference (repro.graph.shapes)."""
 
-import numpy as np
 import pytest
 
 from repro.graph.ir import Graph, GraphError, Layer, LayerKind, TensorSpec

@@ -12,7 +12,6 @@ from __future__ import annotations
 import textwrap
 
 from repro.lint import Baseline, lint_races
-from repro.lint.core import Severity
 
 
 def analyze(tmp_path, source, name="fixture.py", **kwargs):

@@ -2,11 +2,9 @@
 percentile calibration, sensitive-layer exclusion)."""
 
 import numpy as np
-import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder, PrecisionMode
 from repro.engine.passes import calibrate_int8, plan_quantization
-from repro.graph.builder import GraphBuilder
 from repro.graph.ir import DataType
 from repro.hardware.specs import XAVIER_NX
 from repro.runtime import ops

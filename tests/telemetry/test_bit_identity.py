@@ -5,7 +5,6 @@ bit-identical to a run in which telemetry was never touched."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import telemetry
 from repro.engine import BuilderConfig, EngineBuilder

@@ -5,10 +5,8 @@ are covered by tests/apps (same code paths, smaller workloads).
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

@@ -4,10 +4,9 @@ model zoo, exactly as the benchmark harness drives it."""
 import numpy as np
 import pytest
 
-from repro.engine import BuilderConfig, EngineBuilder
 from repro.graph.shapes import infer_shapes
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
-from repro.models import MODEL_REGISTRY, build_model
+from repro.models import MODEL_REGISTRY
 
 ALL_MODELS = sorted(MODEL_REGISTRY)
 
