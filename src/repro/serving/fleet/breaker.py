@@ -181,6 +181,19 @@ class CircuitBreaker:
                 )
                 self._failures = 0
 
+    def release_probe(self) -> None:
+        """Give back the probe slot of a copy that neither succeeded
+        nor failed: a cancelled hedge loser.  The state does not move,
+        so a HALF_OPEN breaker admits its next probe."""
+        if self._state is _CLOSED:
+            return
+        with self._lock:
+            if (
+                self._state is BreakerState.HALF_OPEN
+                and self._probes_in_flight > 0
+            ):
+                self._probes_in_flight -= 1
+
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:

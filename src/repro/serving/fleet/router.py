@@ -523,6 +523,9 @@ class FleetRouter:
                 max(loser.start_ms, winner.done_ms)
             )
             self.hedge_cancels += 1
+            # The cancelled copy is recorded neither way: hand back the
+            # probe slot it took at dispatch.
+            self.breakers[loser_dev.name].release_probe()
         self._record(
             winner.device, True, winner.done_ms,
             winner.done_ms - request.t_ms,

@@ -2,11 +2,12 @@
 
 These are the fleet's per-request paths as they were before fault
 timelines were compiled and routing was made allocation-light, with the
-half-open probe fix applied (candidates are filtered with
+half-open probe fixes applied (candidates are filtered with
 ``CircuitBreaker.admits``; ``allow`` takes the probe only for the
-device a copy is sent to).  They are subclasses of the live classes, so
-one reference :class:`ReferenceFleetSimulator` run uses the old code for
-everything that moved:
+device a copy is sent to; a cancelled hedge loser gives its probe slot
+back with ``release_probe``).  They are subclasses of the live classes,
+so one reference :class:`ReferenceFleetSimulator` run uses the old code
+for everything that moved:
 
 * device state queries scan the fault windows on every call;
 * the router lists candidates over every device and asks every health
@@ -386,6 +387,7 @@ class ReferenceFleetRouter(FleetRouter):
                 max(loser.start_ms, winner.done_ms)
             )
             self.hedge_cancels += 1
+            self.breakers[loser_dev.name].release_probe()
         self._record(
             winner.device, True, winner.done_ms,
             winner.done_ms - request.t_ms,

@@ -73,6 +73,19 @@ class TestTransitions:
         assert b.allow(100.0)
         assert not b.allow(100.0)  # third concurrent probe refused
 
+    def test_released_probe_slot_admits_the_next_probe(self):
+        b = make_breaker(failure_threshold=1, open_ms=100.0)
+        b.record_failure(0.0)
+        assert b.allow(100.0)
+        assert not b.admits(101.0)
+        b.release_probe()  # the probe's copy was cancelled
+        assert b.state is BreakerState.HALF_OPEN
+        assert b.admits(102.0) and b.allow(102.0)
+        assert not b.allow(103.0)
+        b.release_probe()
+        b.release_probe()  # never below zero: one slot, not two
+        assert b.allow(104.0) and not b.allow(105.0)
+
     def test_transition_log_records_full_cycle(self):
         b = make_breaker(failure_threshold=1, open_ms=100.0)
         b.record_failure(0.0)

@@ -434,6 +434,32 @@ def test_routing_on_grid_times_matches_the_reference(policy, case):
     assert first_difference(live, ref) is None
 
 
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize(
+    "case, half_open",
+    [(HEDGE_INTO_HALF_OPEN, "dev1"), (HEDGE_FROM_HALF_OPEN, "dev0")],
+    ids=["hedge-into", "hedge-from"],
+)
+def test_cancelled_hedge_loser_gives_back_its_probe_slot(
+    monkeypatch, policy, case, half_open
+):
+    # Regression: the half-open device's copy of request 0 loses the
+    # hedge and is cancelled.  It used to keep the probe slot, so the
+    # breaker refused the device for every later request.
+    ran = []
+    execute = FleetDevice.execute
+
+    def recording(device, model, rid, dispatch_ms):
+        ran.append((device.name, rid))
+        return execute(device, model, rid, dispatch_ms)
+
+    monkeypatch.setattr(FleetDevice, "execute", recording)
+    outcome = json.loads(route_grid(False, policy, case))["outcomes"][0]
+    assert outcome["hedge_cancelled"] and outcome["device"] != half_open
+    assert (half_open, 0) in ran
+    assert any(name == half_open and rid > 0 for name, rid in ran)
+
+
 def _queries(device: FleetDevice, t: float) -> str:
     return repr((
         device.status(t),
