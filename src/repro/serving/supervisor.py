@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -88,6 +89,29 @@ class SupervisorConfig:
     #: Charge the engine-upload memcpy on every request (serving keeps
     #: weights resident, so the default excludes it).
     include_engine_upload: bool = False
+
+    def __post_init__(self) -> None:
+        # A NaN deadline or watchdog compares False with every latency,
+        # so nothing would ever miss or be cut: reject it here.
+        for name in ("deadline_ms", "frame_period_s", "watchdog_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )
+        for name in (
+            "backoff_base_ms", "backoff_factor", "backoff_jitter",
+            "max_backoff_ms", "recover_margin", "admission_headroom_mb",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
+        for name in ("max_retries", "degrade_after", "recover_after"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     @property
     def watchdog_ms(self) -> float:

@@ -46,6 +46,35 @@ def _healthy_ms(engine):
 
 
 # ----------------------------------------------------------------------
+# config validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("deadline_ms", float("nan")),
+        ("deadline_ms", 0.0),
+        ("deadline_ms", -33.0),
+        ("frame_period_s", float("inf")),
+        ("frame_period_s", 0.0),
+        ("watchdog_factor", float("nan")),
+        ("watchdog_factor", -1.0),
+        ("backoff_base_ms", -2.0),
+        ("backoff_factor", float("nan")),
+        ("backoff_jitter", float("inf")),
+        ("max_backoff_ms", float("nan")),
+        ("recover_margin", -0.5),
+        ("admission_headroom_mb", float("nan")),
+        ("max_retries", -1),
+        ("degrade_after", -1),
+        ("recover_after", -2),
+    ],
+)
+def test_supervisor_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SupervisorConfig(**{field: value})
+
+
+# ----------------------------------------------------------------------
 # backoff schedule
 # ----------------------------------------------------------------------
 class TestBackoffSchedule:
