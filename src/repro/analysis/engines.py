@@ -10,7 +10,7 @@ exactly like rebuilding on a real board at different moments).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,22 +96,13 @@ class EngineFarm:
         )
         key = (model_name, device_name, slot, provider_key)
         if key not in self._engines:
-            device = device_by_name(device_name)
-            config = BuilderConfig(
-                precision=self.precision,
+            self._engines[key] = self._build(
+                model_name,
+                device_name,
                 seed=self._slot_seed(model_name, device_name, slot),
                 calibration_batch=calibration_batch,
-                input_name=self._input_name(model_name),
                 provider=spec if spec is not None else "trt",
             )
-            if self.store is not None:
-                engine, _ = self.store.get_or_build(
-                    self.graph(model_name), device, config
-                )
-                self._engines[key] = engine
-            else:
-                builder = EngineBuilder(device, config)
-                self._engines[key] = builder.build(self.graph(model_name))
         return self._engines[key]
 
     def pinned_engine(self, model_name: str, device_name: str) -> Engine:
@@ -127,21 +118,30 @@ class EngineFarm:
         """
         key = (model_name, device_name, -1, "trt")
         if key not in self._engines:
-            device = device_by_name(device_name)
-            config = BuilderConfig(
-                precision=self.precision,
-                seed=self.base_seed,
-                input_name=self._input_name(model_name),
+            self._engines[key] = self._build(
+                model_name, device_name, seed=self.base_seed
             )
-            if self.store is not None:
-                engine, _ = self.store.get_or_build(
-                    self.graph(model_name), device, config
-                )
-            else:
-                builder = EngineBuilder(device, config)
-                engine = builder.build(self.graph(model_name))
-            self._engines[key] = engine
         return self._engines[key]
+
+    def _build(
+        self, model_name: str, device_name: str, **config: Any
+    ) -> Engine:
+        """Build one engine at the farm's precision, through the store
+        when one is set."""
+        device = device_by_name(device_name)
+        build_config = BuilderConfig(
+            precision=self.precision,
+            input_name=self._input_name(model_name),
+            **config,
+        )
+        if self.store is not None:
+            engine, _ = self.store.get_or_build(
+                self.graph(model_name), device, build_config
+            )
+            return engine
+        return EngineBuilder(device, build_config).build(
+            self.graph(model_name)
+        )
 
     def engines(
         self,
