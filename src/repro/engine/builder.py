@@ -22,13 +22,22 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.graph.ir import DataType, Graph, Layer
+from repro.graph.partition import (
+    PartitionedEngine,
+    PartitionPlan,
+    partition_graph,
+    transfer_binding,
+)
 from repro.graph.shapes import infer_shapes
 from repro.hardware.specs import DeviceSpec
 from repro.hardware.workload import LayerWorkload, layer_workload
 from repro.runtime.math_config import LayerMath, MathConfig
 from repro.runtime.providers import (
     TRT_PROVIDER,
+    ExecutionProvider,
     ProviderSpec,
+    TransferSpec,
+    canonical_provider_key,
     resolve_providers,
 )
 
@@ -110,10 +119,12 @@ class BuilderConfig:
     #: axis (case-insensitive name, :class:`~repro.runtime.providers
     #: .ExecutionProvider` instance, or a priority-ordered list /
     #: comma string such as ``"cuda,trt"`` for partitioned builds).
-    #: ``"trt"`` (the default) takes the classic fused/tactic-selected
-    #: pipeline, byte-identical to builds before this axis existed;
-    #: anything else routes through
-    #: :func:`repro.graph.partition.build_partitioned_engine`.
+    #: ``"trt"`` (the default) builds the classic fused, tactic-selected
+    #: engine, byte-identical to builds before this axis existed;
+    #: anything else skips fusion and merging, places each layer with
+    #: :func:`repro.graph.partition.partition_graph` and builds a
+    #: :class:`~repro.graph.partition.PartitionedEngine` in the same
+    #: pipeline.
     provider: ProviderSpec = "trt"
 
 
@@ -180,21 +191,18 @@ class EngineBuilder:
     ) -> Engine:
         """Run the five-step pipeline and return a compiled engine.
 
-        ``provider`` overrides ``config.provider`` for this build.  The
-        default TRT provider runs the classic fused/tactic-auctioned
-        pipeline below; any other provider (or priority list) builds a
-        per-op :class:`~repro.graph.partition.PartitionedEngine`.
+        ``provider`` overrides ``config.provider`` for this build.  TRT
+        alone gets the classic fused, tactic-auctioned engine.  Any
+        other provider (or priority list) skips fusion and merging,
+        places every layer with :func:`~repro.graph.partition
+        .partition_graph` after quantization planning, and returns a
+        :class:`~repro.graph.partition.PartitionedEngine`.
         """
         cfg = self.config
         providers = resolve_providers(
             provider if provider is not None else cfg.provider
         )
-        if providers != (TRT_PROVIDER,):
-            from repro.graph.partition import build_partitioned_engine
-
-            return build_partitioned_engine(
-                network, self.device, providers, cfg, self.catalog
-            )
+        partitioned = providers != (TRT_PROVIDER,)
         seed = cfg.seed if cfg.seed is not None else _next_build_seed()
         rng = np.random.default_rng(seed)
         timing_cache = cfg.timing_cache
@@ -239,16 +247,21 @@ class EngineBuilder:
                 )
             return report
 
-        # Steps 1-2: dead-layer removal, vertical fusion.
+        # Step 1: dead-layer removal.
         reports.append(run_pass(remove_dead_layers))
-        reports.append(run_pass(fuse_vertically))
 
-        # Step 3: horizontal merging, decided by noisy timing.
-        if cfg.enable_horizontal_merge:
-            decider = self._make_merge_decider(selector, act_dtype, allowed)
-            reports.append(
-                run_pass(lambda g: merge_horizontally(g, decide=decider))
-            )
+        # Steps 2-3: vertical fusion, then horizontal merging decided by
+        # noisy timing.  A partitioned engine stays per-op: a fused
+        # super-layer cannot straddle a provider boundary.
+        if not partitioned:
+            reports.append(run_pass(fuse_vertically))
+            if cfg.enable_horizontal_merge:
+                decider = self._make_merge_decider(
+                    selector, act_dtype, allowed
+                )
+                reports.append(
+                    run_pass(lambda g: merge_horizontally(g, decide=decider))
+                )
 
         # Step 4: quantization planning (+ calibration when supplied).
         calibration: Optional[CalibrationCache] = None
@@ -258,40 +271,84 @@ class EngineBuilder:
             )
         quant = plan_quantization(graph, allowed, calibration)
 
-        # Step 5: tactic selection / kernel mapping.
+        # Step 5: provider placement (partitioned builds only), then
+        # tactic selection / kernel mapping.
         shapes = infer_shapes(graph)
+        order = graph.toposort()
+        plan: Optional[PartitionPlan] = None
+        placed: Dict[str, ExecutionProvider] = {}
+        transfers: Dict[str, List[TransferSpec]] = {}
+        if partitioned:
+            plan = partition_graph(
+                graph,
+                providers,
+                {l.name: quant.precisions_for(l) for l in order},
+                {
+                    l.name: layer_workload(l, shapes, act_dtype).category
+                    for l in order
+                },
+                shapes,
+                act_dtype,
+            )
+            by_name = {p.name: p for p in providers}
+            placed = {
+                name: by_name[p] for name, p in plan.assignments.items()
+            }
+            for spec in plan.transfers:
+                transfers.setdefault(spec.dst_layer, []).append(spec)
+
         bindings: List[LayerBinding] = []
         math_config = MathConfig(default=LayerMath())
         build_time_us = 0.0
-        for layer in graph.toposort():
+        for layer in order:
+            # A cross-provider copy goes in before its consumer.
+            for spec in transfers.get(layer.name, ()):
+                bindings.append(transfer_binding(spec))
+            runner = placed.get(layer.name, TRT_PROVIDER)
             workload = layer_workload(layer, shapes, act_dtype)
             if workload.category == "detection":
-                kernels = self.catalog.detection_sequence()
+                kernels = (
+                    list(self.catalog.detection_sequence())
+                    if runner.tactic_search
+                    else runner.kernel_sequence_for("detection")
+                )
                 bindings.append(
                     LayerBinding(
                         layer_name=layer.name,
-                        kernels=list(kernels),
+                        kernels=kernels,
                         workload=workload,
                         tactic=None,
+                        provider=runner.name,
                     )
                 )
                 continue
             menu = quant.precisions_for(layer)
-            tactic = selector.choose(layer.name, workload, menu, self.catalog)
-            # Only *fresh* measurement runs charge auction time; a
-            # timing-cache hit costs the hash-probe epsilon.  This is
-            # the contract timing_cache.py documents (warm rebuilds are
-            # much faster) — previously every candidate was charged
-            # full measurement time even when it never ran.
-            cached = tactic.candidates_timed - tactic.candidates_measured
-            build_time_us += (
-                tactic.measured_us * tactic.candidates_measured
-                + TIMING_CACHE_LOOKUP_US * cached
-            )
-            layer.precision = tactic.kernel.precision
-            math_config.per_layer[layer.name] = self._layer_math(
-                layer, tactic, calibration
-            )
+            tactic: Optional[TacticChoice] = None
+            if runner.tactic_search:
+                tactic = selector.choose(
+                    layer.name, workload, menu, self.catalog
+                )
+                # Only *fresh* measurement runs charge auction time; a
+                # timing-cache hit costs the hash-probe epsilon.  This
+                # is the contract timing_cache.py documents (warm
+                # rebuilds are much faster).
+                cached = tactic.candidates_timed - tactic.candidates_measured
+                build_time_us += (
+                    tactic.measured_us * tactic.candidates_measured
+                    + TIMING_CACHE_LOOKUP_US * cached
+                )
+                kernel = tactic.kernel
+                layer_math = self._layer_math(layer, tactic, calibration)
+            else:
+                # Providers without tactic search bind their fixed
+                # per-category kernel at no auction cost.
+                preferred = next(p for p in menu if p is not DataType.INT8)
+                kernel = runner.kernel_for(workload.category, preferred)
+                layer_math = LayerMath(
+                    precision=kernel.precision, split_k=kernel.split_k
+                )
+            layer.precision = kernel.precision
+            math_config.per_layer[layer.name] = layer_math
             # Re-price the workload now that the layer's stored
             # precision is known (weight traffic shrinks under FP16/
             # INT8); keeps runtime costs consistent with reloaded plans.
@@ -299,27 +356,25 @@ class EngineBuilder:
             bindings.append(
                 LayerBinding(
                     layer_name=layer.name,
-                    kernels=[tactic.kernel],
+                    kernels=[kernel],
                     workload=workload,
                     tactic=tactic,
+                    provider=runner.name,
                 )
             )
 
         weight_chunks = self._weight_chunks(graph, bindings)
-        size_bytes = (
-            sum(weight_chunks)
-            + PLAN_FIXED_OVERHEAD_BYTES
-            + PLAN_PER_BINDING_BYTES * len(bindings)
-        )
-
-        engine = Engine(
-            name=f"{network.name}@{self.device.name}#seed{seed}",
+        fields = dict(
             source_network=network.name,
             device=self.device,
             graph=graph,
             bindings=bindings,
             math_config=math_config,
-            size_bytes=size_bytes,
+            size_bytes=(
+                sum(weight_chunks)
+                + PLAN_FIXED_OVERHEAD_BYTES
+                + PLAN_PER_BINDING_BYTES * len(bindings)
+            ),
             weight_chunks=weight_chunks,
             input_name=cfg.input_name,
             build_seed=seed,
@@ -327,6 +382,19 @@ class EngineBuilder:
             pass_reports=reports,
             build_time_us=build_time_us,
         )
+        engine: Engine
+        if plan is None:
+            engine = Engine(
+                name=f"{network.name}@{self.device.name}#seed{seed}",
+                **fields,
+            )
+        else:
+            key = canonical_provider_key(providers)
+            engine = PartitionedEngine(
+                name=f"{network.name}@{self.device.name}+{key}#seed{seed}",
+                partition=plan,
+                **fields,
+            )
         if cfg.analyze_dataflow:
             self._analyze(engine)
         return engine
@@ -401,17 +469,22 @@ class EngineBuilder:
     def _weight_chunks(
         graph: Graph, bindings: List[LayerBinding]
     ) -> List[int]:
-        """Per-layer stored weight sizes (one HtoD chunk each)."""
+        """Per-layer stored weight sizes (one HtoD chunk each).
+
+        A single-kernel binding stores its layer's weights in the bound
+        kernel's layout (lint ``P003`` re-derives the same rule); a
+        multi-kernel sequence stores them as they are.
+        """
         by_name: Dict[str, LayerBinding] = {
-            b.layer_name: b for b in bindings
+            b.layer_name: b for b in bindings if b.transfer is None
         }
         chunks = []
         for layer in graph.layers:
             if not layer.weights:
                 continue
             binding = by_name.get(layer.name)
-            if binding is None or binding.tactic is None:
-                chunks.append(layer.weight_bytes())
+            if binding is not None and len(binding.kernels) == 1:
+                chunks.append(_stored_weight_bytes(layer, binding.kernels[0]))
             else:
-                chunks.append(_stored_weight_bytes(layer, binding.tactic.kernel))
+                chunks.append(layer.weight_bytes())
         return chunks
