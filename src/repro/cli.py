@@ -541,10 +541,10 @@ def _cmd_faults(args) -> int:
     """Run a fault-injection campaign against an app workload,
     supervised vs unsupervised, and report SLO attainment."""
     from repro.analysis.engines import EngineFarm
-    from repro.faults import FaultPlan, canned_plan
+    from repro.faults import canned_plan
 
-    if args.scenario_file:
-        plan = FaultPlan.load(args.scenario_file)
+    if args.scenario_file is not None:
+        plan = args.scenario_file  # loaded by _fault_plan_file
         if args.seed is not None:
             plan.seed = args.seed
     else:
@@ -1000,6 +1000,42 @@ def _provider_spec(spec: str) -> str:
     return spec
 
 
+def _fault_plan_name(name: str) -> str:
+    """``type=`` for a canned fault plan name (``faults``/``metrics``)."""
+    from repro.faults import CANNED_PLANS
+
+    if name not in CANNED_PLANS:
+        known = ", ".join(sorted(CANNED_PLANS))
+        raise argparse.ArgumentTypeError(
+            f"unknown canned fault plan {name!r} (known: {known})"
+        )
+    return name
+
+
+def _fleet_plan_name(name: str) -> str:
+    """``type=`` for a canned fleet fault plan name, or ``none``."""
+    from repro.faults import FLEET_PLANS
+
+    if name != "none" and name not in FLEET_PLANS:
+        known = ", ".join(["none"] + sorted(FLEET_PLANS))
+        raise argparse.ArgumentTypeError(
+            f"unknown canned fleet plan {name!r} (known: {known})"
+        )
+    return name
+
+
+def _fault_plan_file(path: str):
+    """``type=`` for a JSON fault-plan file: loaded at parse time, so
+    an unreadable or malformed file is a usage error (argparse reports
+    the ``TypeError`` of a mistyped field itself)."""
+    from repro.faults import FaultPlan
+
+    try:
+        return FaultPlan.load(path)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _finite_positive(text: str) -> float:
     """``type=`` for a finite float > 0 (a deadline)."""
     import math
@@ -1333,11 +1369,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload: intersection cameras or the ADAS frame loop",
     )
     p.add_argument(
-        "--scenario", default="thermal_oom",
+        "--scenario", default="thermal_oom", type=_fault_plan_name,
         help="canned fault plan name (see repro.faults.CANNED_PLANS)",
     )
     p.add_argument(
-        "--scenario-file", default=None,
+        "--scenario-file", default=None, type=_fault_plan_file,
         help="JSON FaultPlan file (overrides --scenario)",
     )
     p.add_argument("--frames", type=int, default=60)
@@ -1394,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument(
-        "--scenario", default="none",
+        "--scenario", default="none", type=_fleet_plan_name,
         help="canned fleet fault plan "
         "(see repro.faults.FLEET_PLANS; 'none' disables)",
     )
@@ -1618,7 +1654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deadline-ms", type=_finite_positive, default=33.0)
     p.add_argument(
-        "--scenario", default=None,
+        "--scenario", default=None, type=_fault_plan_name,
         help="optional canned fault plan to serve under "
         "(see repro.faults.CANNED_PLANS)",
     )

@@ -116,6 +116,45 @@ class TestBadInputIsAUsageError:
         )
         assert "--deadline-ms" in line
 
+    @pytest.mark.parametrize(
+        "argv, flag, wording",
+        [
+            (["faults", "alexnet", "--scenario", "bogus"], "--scenario",
+             "unknown canned fault plan 'bogus'"),
+            (["metrics", "alexnet", "--scenario", "bogus"], "--scenario",
+             "unknown canned fault plan 'bogus'"),
+            (["fleet", "--scenario", "bogus"], "--scenario",
+             "unknown canned fleet plan 'bogus'"),
+            (["faults", "alexnet", "--scenario-file", "missing.json"],
+             "--scenario-file", "cannot read fault plan missing.json"),
+        ],
+        ids=["faults", "metrics", "fleet", "faults-file"],
+    )
+    def test_unknown_fault_plan(self, argv, flag, wording, capsys):
+        line = _usage_error(argv, capsys)
+        assert line.startswith(
+            f"trtsim {argv[0]}: error: argument {flag}"
+        )
+        assert wording in line
+
+    @pytest.mark.parametrize(
+        "document",
+        ["not json", '{"plan": []}', '{"scenarios": [{"kind": "bogus"}]}',
+         '{"scenarios": [1]}'],
+        ids=["not-json", "no-scenarios", "bad-kind", "not-an-object"],
+    )
+    def test_malformed_fault_plan_file(self, document, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(document)
+        line = _usage_error(
+            ["faults", "alexnet", "--scenario-file", str(path)], capsys
+        )
+        assert line.startswith("trtsim faults: error: argument --scenario-file")
+
+    def test_fleet_scenario_none_still_parses(self):
+        args = build_parser().parse_args(["fleet", "--scenario", "none"])
+        assert args.scenario == "none"
+
 
 class TestCommands:
     def test_devices(self, capsys):
@@ -281,9 +320,9 @@ class TestFaultsCommand:
         assert "file_campaign" in out
         assert trace_file.exists()
 
-    def test_unknown_scenario_fails_loudly(self):
-        with pytest.raises(ValueError, match="unknown canned fault plan"):
-            main(["faults", "mtcnn", "--scenario", "volcano"])
+    def test_unknown_scenario_fails_loudly(self, capsys):
+        line = _usage_error(["faults", "mtcnn", "--scenario", "volcano"], capsys)
+        assert "unknown canned fault plan 'volcano'" in line
 
 
 class TestStoreCommand:
@@ -512,9 +551,9 @@ class TestFleetCommand:
         )
         assert code == 1
 
-    def test_unknown_scenario_fails_loudly(self):
-        with pytest.raises(ValueError, match="unknown canned fleet"):
-            main(["fleet", "--scenario", "no_such_plan"])
+    def test_unknown_scenario_fails_loudly(self, capsys):
+        line = _usage_error(["fleet", "--scenario", "no_such_plan"], capsys)
+        assert "unknown canned fleet plan 'no_such_plan'" in line
 
     def test_policy_sweep_table(self, capsys, tmp_path):
         code = main(
