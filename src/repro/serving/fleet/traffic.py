@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from repro.caching import caching_enabled, register_cache
 SLOT_MS = 100.0
 
 
-@dataclass(frozen=True)
-class FleetRequest:
-    """One inference request offered to the fleet front door."""
+class FleetRequest(NamedTuple):
+    """One inference request offered to the fleet front door (a tuple:
+    a schedule builds tens of thousands of them)."""
 
     rid: int
     t_ms: float
