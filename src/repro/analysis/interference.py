@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engines import EngineFarm, device_by_name
 from repro.engine.engine import Engine
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import cost_table
+from repro.hardware.gpu import sequential_sum
 from repro.serving.colocation import (
     DEFAULT_KAPPA,
     MODE_SM_PARTITION,
@@ -160,18 +161,11 @@ def _profile(
     name: str, engine: Engine, clock_mhz: float
 ) -> ModelProfile:
     """Compute- vs bandwidth-boundness of one engine at one clock."""
-    cost_model = CostModel(engine.device)
-    compute_us = 0.0
-    bandwidth_us = 0.0
-    for binding in engine.bindings:
-        if getattr(binding, "transfer", None) is not None:
-            continue
-        for kernel in binding.kernels:
-            cost = cost_model.kernel_cost(
-                kernel, binding.workload, clock_mhz
-            )
-            compute_us += cost.compute_us
-            bandwidth_us += cost.bandwidth_us
+    table = cost_table(engine.bindings, engine.device)
+    terms = table.kernel_terms(clock_mhz, 1.0, 1)
+    kernels = ~table.transfer
+    compute_us = sequential_sum(terms[1][kernels])
+    bandwidth_us = sequential_sum(terms[2][kernels])
     context = engine.create_execution_context(engine.device)
     timing = context.time_inference(
         clock_mhz=clock_mhz, include_engine_upload=False, jitter=0.0

@@ -5,9 +5,9 @@ functions of hashable inputs — depthwise/average-pooling window gather
 and deconvolution scatter indices keyed by layer shape
 (:mod:`repro.runtime.ops`; im2col and max pooling copy strided kernel
 taps and need no index), per-layer workloads keyed by a layer digest
-(:mod:`repro.hardware.workload`), analytic kernel costs keyed by
-(device, kernel, workload, clock, sm_fraction) and per-engine cost
-tables keyed by (device, bindings) (:mod:`repro.hardware.cost`).
+(:mod:`repro.hardware.workload`), and the cost model's kernel
+columns keyed by (device, candidate list) and per-engine cost tables
+keyed by (device, bindings) (:mod:`repro.hardware.cost`).
 Purity is the whole argument: a cache hit returns exactly the value
 the uncached computation would produce, so caching can never change a
 result byte.  The acceptance tests in

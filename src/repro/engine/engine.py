@@ -105,10 +105,12 @@ class Engine:
         """DRAM bytes one engine execution moves across all bound
         kernels (activations scale with ``batch_size``, weights are
         streamed once per batched invocation)."""
-        return sum(
-            b.workload.for_batch(batch_size).total_bytes
-            for b in self.bindings
-        )
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        loads = [b.workload for b in self.bindings]
+        return batch_size * sum(
+            w.bytes_in + w.bytes_out for w in loads
+        ) + sum(w.bytes_w for w in loads)
 
     def create_execution_context(
         self,
@@ -190,9 +192,9 @@ class ExecutionContext:
         noiseless model time.  ``hardware_hook`` injects hardware
         faults (see :func:`repro.hardware.gpu.simulate_inference`).
         ``batch_size`` times one engine execution over a micro-batch:
-        per-kernel workloads scale per
-        :meth:`~repro.hardware.workload.LayerWorkload.for_batch` and
-        the input memcpy carries the whole batch.  ``mem_contention``
+        per-kernel workloads scale as
+        :meth:`~repro.hardware.cost.CostTable.kernel_terms` describes
+        and the input memcpy carries the whole batch.  ``mem_contention``
         (>= 1.0) stretches bandwidth-bound terms to model co-located
         tenants sharing DRAM (see :mod:`repro.serving.colocation`).
         """

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import cost_table
 from repro.hardware.specs import DeviceSpec
 
 from repro.engine.builder import _stored_weight_bytes
@@ -30,8 +30,15 @@ def inspect_engine(
     """A structured report over every layer binding of ``engine``."""
     device = device or engine.device
     clock = clock_mhz or device.max_gpu_clock_mhz
-    cost_model = CostModel(device)
     layer_by_name = {layer.name: layer for layer in engine.graph.layers}
+    # One row per kernel and per transfer binding, in binding order;
+    # each kernel's prediction is the base duration the timeline bills.
+    table = cost_table(engine.bindings, device)
+    terms = table.kernel_terms(clock, 1.0, 1)
+    launch = terms[0]
+    compute, bandwidth, latency = (column.tolist() for column in terms[1:])
+    predicted = table.kernel_us(terms).tolist()
+    row = 0
 
     layers: List[Dict] = []
     total_us = 0.0
@@ -61,33 +68,11 @@ def inspect_engine(
             )
             transfer_us += xfer.total_us
             num_transfers += 1
+            row += 1
             continue
         layer = layer_by_name[binding.layer_name]
-        provider = getattr(binding, "provider", "trt")
-        params = None
-        if provider != "trt":
-            from repro.runtime.providers import provider_cost_params
-
-            params = provider_cost_params(provider)
         kernel_entries = []
         for kernel in binding.kernels:
-            cost = cost_model.kernel_cost(kernel, binding.workload, clock)
-            if params is not None:
-                # Mirror the timeline's provider cost scaling so the
-                # inspector's prediction matches what simulation bills.
-                work = max(
-                    cost.compute_us / params.compute_scale,
-                    cost.bandwidth_us / params.bandwidth_scale,
-                )
-                if len(binding.kernels) > 1:
-                    work /= len(binding.kernels)
-                predicted = (
-                    cost.launch_us * params.launch_scale
-                    + work
-                    + cost.latency_us * params.latency_scale
-                )
-            else:
-                predicted = cost.total_us
             kernel_entries.append(
                 {
                     "name": kernel.name,
@@ -95,20 +80,21 @@ def inspect_engine(
                     "tile": [kernel.tile_m, kernel.tile_n],
                     "split_k": kernel.split_k,
                     "tensor_cores": kernel.uses_tensor_cores,
-                    "predicted_us": round(predicted, 3),
+                    "predicted_us": round(predicted[row], 3),
                     "breakdown_us": {
-                        "launch": round(cost.launch_us, 3),
-                        "compute": round(cost.compute_us, 3),
-                        "bandwidth": round(cost.bandwidth_us, 3),
-                        "latency": round(cost.latency_us, 3),
+                        "launch": round(launch, 3),
+                        "compute": round(compute[row], 3),
+                        "bandwidth": round(bandwidth[row], 3),
+                        "latency": round(latency[row], 3),
                     },
                 }
             )
-            total_us += predicted
+            total_us += predicted[row]
+            row += 1
         entry = {
             "layer": binding.layer_name,
             "kind": layer.kind.value,
-            "provider": provider,
+            "provider": getattr(binding, "provider", "trt"),
             "gemm": {
                 "m": binding.workload.gemm_m,
                 "n": binding.workload.gemm_n,

@@ -16,14 +16,13 @@ on one platform can be pessimal on another (Table VIII).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.ir import DataType
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import CostTable, kernel_columns
 from repro.hardware.specs import DeviceSpec
 from repro.hardware.workload import LayerWorkload
 
@@ -86,7 +85,6 @@ class TacticSelector:
             raise ValueError("timing_repeats must be >= 1")
         self.device = device
         self.clock_mhz = clock_mhz
-        self.cost = CostModel(device)
         self._rng = rng
         self.timing_noise = timing_noise
         self.timing_repeats = timing_repeats
@@ -102,32 +100,41 @@ class TacticSelector:
         self.cache_hits = 0
 
     # ------------------------------------------------------------------
-    def measure_kernel(
-        self, kernel: KernelSpec, workload: LayerWorkload
-    ) -> Tuple[float, float]:
-        """(noisy measured time, true model time) in microseconds.
+    def measure(
+        self, kernels: Sequence[KernelSpec], workload: LayerWorkload
+    ) -> Tuple[List[float], List[float]]:
+        """(noisy measured times, true model times) of ``kernels`` over
+        ``workload``, in microseconds and in list order.
 
-        With a timing cache attached, a previously measured
-        (kernel, shape) pair is returned verbatim — no new measurement,
-        no new noise — which is what makes cached rebuilds
-        deterministic.
+        The true times are one vector evaluation of the cost table.
+        The kernels are then measured in order.  With a timing cache
+        attached, a previously measured (kernel, shape) pair is
+        returned verbatim — no new measurement, no new noise — which is
+        what makes cached rebuilds deterministic.
         """
-        true_us = self.cost.kernel_time_us(kernel, workload, self.clock_mhz)
-        if self.timing_cache is not None:
-            cached = self.timing_cache.lookup(kernel.name, workload)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached, true_us
-        self.fresh_measurements += 1
-        samples = true_us * (
-            1.0
-            + self.timing_noise
-            * self._rng.standard_normal(self.timing_repeats)
-        )
-        measured = float(np.clip(samples, true_us * 0.5, None).mean())
-        if self.timing_cache is not None:
-            self.timing_cache.store(kernel.name, workload, measured)
-        return measured, true_us
+        table = CostTable(kernel_columns(self.device, kernels), workload)
+        true = table.kernel_us(table.kernel_terms(self.clock_mhz, 1.0, 1))
+        true_times = true.tolist()
+        measured: List[float] = []
+        cache = self.timing_cache
+        for kernel, true_us in zip(kernels, true_times):
+            if cache is not None:
+                cached = cache.lookup(kernel.name, workload)
+                if cached is not None:
+                    self.cache_hits += 1
+                    measured.append(cached)
+                    continue
+            self.fresh_measurements += 1
+            samples = true_us * (
+                1.0
+                + self.timing_noise
+                * self._rng.standard_normal(self.timing_repeats)
+            )
+            value = float(np.clip(samples, true_us * 0.5, None).mean())
+            if cache is not None:
+                cache.store(kernel.name, workload, value)
+            measured.append(value)
+        return measured, true_times
 
     def choose(
         self,
@@ -136,7 +143,8 @@ class TacticSelector:
         precisions: Sequence[DataType],
         catalog: KernelCatalog,
     ) -> TacticChoice:
-        """Auction all eligible kernels for one layer; keep the winner."""
+        """Auction all eligible kernels for one layer; keep the winner
+        (the first of equally fast ones)."""
         candidates = catalog.candidates(
             workload.category, workload.gemm_k, precisions
         )
@@ -156,22 +164,15 @@ class TacticSelector:
                 f"no kernel in catalog for category {workload.category!r} "
                 f"(layer {layer_name!r})"
             )
-        best: TacticChoice | None = None
         fresh_before = self.fresh_measurements
-        for kernel in candidates:
-            measured, true_us = self.measure_kernel(kernel, workload)
-            if best is None or measured < best.measured_us:
-                best = TacticChoice(
-                    layer_name=layer_name,
-                    kernel=kernel,
-                    measured_us=measured,
-                    true_us=true_us,
-                    candidates_timed=len(candidates),
-                    candidates_measured=0,  # patched below
-                )
-        assert best is not None
-        best = dataclasses.replace(
-            best,
+        measured, true_times = self.measure(candidates, workload)
+        won = min(range(len(candidates)), key=measured.__getitem__)
+        best = TacticChoice(
+            layer_name=layer_name,
+            kernel=candidates[won],
+            measured_us=measured[won],
+            true_us=true_times[won],
+            candidates_timed=len(candidates),
             candidates_measured=self.fresh_measurements - fresh_before,
         )
         if BUS.active:
@@ -208,8 +209,13 @@ class TacticSelector:
             )
             if not cands:
                 return float("inf")
-            return min(self.measure_kernel(k, workload)[0] for k in cands)
+            return min(self.measure(cands, workload)[0])
 
         merged_time = best_time(merged_workload)
-        split_time = sum(best_time(w) for w in group_workloads)
+        # Added left to right: builtin sum() compensates float sums
+        # since Python 3.12, and a near tie must not flip with the
+        # interpreter.
+        split_time = 0.0
+        for workload in group_workloads:
+            split_time += best_time(workload)
         return merged_time < split_time

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.graph.ir import DataType, Graph, LayerKind
 from repro.graph.shapes import infer_shapes
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import CostTable, KernelColumns
+from repro.hardware.gpu import sequential_sum
 from repro.hardware.memory import MemcpyModel
 from repro.hardware.specs import DeviceSpec
 from repro.hardware.workload import layer_workload
@@ -53,7 +54,6 @@ class UnoptimizedRuntime:
 
     def __init__(self, device: DeviceSpec):
         self.device = device
-        self.cost = CostModel(device)
         self.memcpy = MemcpyModel(device)
 
     def inference_time_us(
@@ -66,16 +66,19 @@ class UnoptimizedRuntime:
         """Latency of one inference of the raw model (microseconds)."""
         clock = clock_mhz or self.device.max_gpu_clock_mhz
         shapes = infer_shapes(graph)
-        kernel = _GenericKernel()
         dispatch = FRAMEWORK_DISPATCH_US * 6.0 / self.device.cpu_cores
-        total = 0.0
-        for layer in graph.toposort():
-            if layer.kind is LayerKind.INPUT:
-                continue
-            workload = layer_workload(layer, shapes, DataType.FP32)
-            kernel.category = workload.category  # generic kernel runs all
-            cost = self.cost.kernel_cost(kernel, workload, clock)
-            total += cost.total_us + dispatch
+        # The generic kernel runs every layer: one kernel row broadcast
+        # over the layers' workloads.
+        table = CostTable(
+            KernelColumns(self.device, [_GenericKernel]),
+            [
+                layer_workload(layer, shapes, DataType.FP32)
+                for layer in graph.toposort()
+                if layer.kind is not LayerKind.INPUT
+            ],
+        )
+        layer_us = table.kernel_us(table.kernel_terms(clock, 1.0, 1))
+        total = sequential_sum(layer_us + dispatch)
         # Input image HtoD each frame.
         for spec in graph.input_specs.values():
             total += self.memcpy.single(spec.volume * 4).total_us

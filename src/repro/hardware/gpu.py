@@ -248,21 +248,9 @@ def _timeline_skeleton(
     bit-identical to the isolated timeline.
     """
     table = cost_table(bindings, device)
-    launch, compute, bandwidth, latency = table.kernel_terms(
-        clock_mhz, sm_fraction, batch_size
+    kernel_base = table.kernel_us(
+        table.kernel_terms(clock_mhz, sm_fraction, batch_size), mem_contention
     )
-    # A multi-kernel binding (detection pipeline) splits the layer's
-    # *work* across its kernels; each invocation still pays its own
-    # launch overhead and dependent-load latency chains (a sort pass's
-    # pointer chasing does not shrink because other passes exist).
-    # Non-TRT providers scale the cost terms: effective FLOP rate and
-    # bandwidth shrink (divide), launch and latency exposure grow
-    # (multiply).  TRT rows carry unit scales, which are exact.
-    work = np.maximum(
-        compute / table.compute_scale,
-        bandwidth * mem_contention / table.bandwidth_scale,
-    ) / table.n_kernels
-    kernel_base = launch * table.launch_scale + work + latency * table.latency_scale
     # Cross-provider transfer rows (partitioned engines): the tensor
     # crosses a provider boundary as a DtoD memcpy, billed against the
     # Eq. 1 bandwidth model like any other transfer; activation bytes
@@ -371,8 +359,8 @@ def simulate_inference(
     """Simulate one inference and return its timeline.
 
     ``batch_size`` runs the whole engine once over a micro-batch: every
-    kernel sees its layer workload scaled via
-    :meth:`~repro.hardware.workload.LayerWorkload.for_batch` (linear
+    kernel is priced at its layer's batched workload (see
+    :meth:`~repro.hardware.cost.CostTable.kernel_terms`: linear
     activation traffic and FLOPs, amortized weights and launches), and
     the input memcpy carries ``batch_size`` images.  ``batch_size=1``
     is bit-identical to the pre-batching timeline.

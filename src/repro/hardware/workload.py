@@ -7,11 +7,12 @@ and the inferred tensor shapes.
 
 Workload derivation is a pure function of a small hashable **layer
 digest** — (kind, the attrs the formulas read, in/out shapes, weight
-bytes, activation dtype) — so both :func:`layer_workload` and
-:meth:`LayerWorkload.for_batch` are memoized: an engine build, a
-timing sweep, and a fleet of serving devices all re-derive the same
-handful of digests millions of times.  :mod:`repro.caching` controls
-the memos; the byte-identity suite asserts cached == uncached.
+bytes, activation dtype) — so :func:`layer_workload` is memoized: an
+engine build, a timing sweep, and a fleet of serving devices all
+re-derive the same handful of digests millions of times.
+:mod:`repro.caching` controls the memo; the byte-identity suite
+asserts cached == uncached.  A workload describes one image; the cost
+table (:mod:`repro.hardware.cost`) applies the batch.
 """
 
 from __future__ import annotations
@@ -50,54 +51,6 @@ class LayerWorkload:
     @property
     def total_bytes(self) -> int:
         return self.bytes_in + self.bytes_w + self.bytes_out
-
-    def for_batch(self, batch_size: int) -> "LayerWorkload":
-        """The same layer's workload when ``batch_size`` samples are
-        processed in one kernel invocation.
-
-        Activation traffic (``bytes_in``/``bytes_out``), FLOPs, and the
-        GEMM N dimension (output pixels) grow linearly with batch;
-        weight traffic does **not** — the batched kernel streams each
-        filter once and applies it to every sample, which is the core
-        amortization that makes batching a throughput lever.  Wave
-        quantization in the cost model turns the linear block growth
-        into *sub-linear* latency growth until DRAM bandwidth caps it.
-
-        ``for_batch(1)`` returns ``self`` so the batch-1 path stays
-        bit-identical to the unbatched one.
-        """
-        if batch_size == 1:
-            return self
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if caching_enabled():
-            return _for_batch_cached(self, batch_size)
-        return self._scaled(batch_size)
-
-    def _scaled(self, batch_size: int) -> "LayerWorkload":
-        return LayerWorkload(
-            flops=self.flops * batch_size,
-            bytes_in=self.bytes_in * batch_size,
-            bytes_w=self.bytes_w,
-            bytes_out=self.bytes_out * batch_size,
-            gemm_m=self.gemm_m,
-            gemm_n=self.gemm_n * batch_size,
-            gemm_k=self.gemm_k,
-            elements_out=self.elements_out * batch_size,
-            category=self.category,
-        )
-
-
-@lru_cache(maxsize=None)
-def _for_batch_cached(
-    workload: LayerWorkload, batch_size: int
-) -> LayerWorkload:
-    """Memoized batch scaling — :class:`LayerWorkload` is frozen, so
-    (workload, batch) is a complete key for the pure arithmetic."""
-    return workload._scaled(batch_size)
-
-
-register_cache(_for_batch_cached.cache_clear)
 
 
 #: Map from layer kind to kernel-catalog category.

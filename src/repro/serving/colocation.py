@@ -15,7 +15,7 @@ then extends that finding with an MPS/MIG-style co-location scheduler:
   independently and over-commit the board.
 * **SM partitioning** (``mode="sm-partition"``) — each tenant owns a
   fraction of the SMs proportional to its priority weight, priced by
-  ``CostModel.kernel_cost(sm_fraction=...)``.  Tenants execute
+  the cost table at that ``sm_fraction``.  Tenants execute
   *concurrently*, so each one's bandwidth-bound time additionally
   stretches by a shared-DRAM contention factor derived from the
   aggregate Eq. 1 demand of its neighbors (see
@@ -230,7 +230,7 @@ def contention_factors(
     bandwidth-bound time stretches by ``1 + kappa * (sum of the
     *other* tenants' demand) / usable_bw``: the SM partition already
     grants a proportional bandwidth share
-    (``CostModel`` scales ``bw_eff`` by ``sm_fraction``), so this term
+    (the cost table scales ``bw_eff`` by ``sm_fraction``), so this term
     prices only the *cross-tenant* interference — controller
     serialization, row-buffer conflicts — beyond that proportional
     split.  With one tenant the sum is empty and the factor is exactly

@@ -1,4 +1,5 @@
-"""Smoke tests for the bench harness and the cost-model memo."""
+"""Smoke tests for the bench harness and the cost model's one-row
+query."""
 
 import json
 
@@ -16,30 +17,39 @@ from repro.analysis.engines import EngineFarm
 from repro.caching import caches_disabled, clear_caches
 from repro.hardware.cost import CostModel
 
+from tests.hardware.reference_timeline import for_batch, kernel_cost
+
 
 class TestKernelCostMemo:
     def test_memoized_cost_equals_uncached_exactly(self):
-        # The memo must return the *exact* KernelCost the uncached
-        # computation produces — every field, not just total_us.
+        # kernel_cost must return the *exact* breakdown of the scalar
+        # reference formula — every field, not just total_us — with
+        # caches on and off.
         clear_caches()
         farm = EngineFarm(pretrained=False)
         engine = farm.engine("googlenet", "NX")
         model = CostModel(engine.device)
         for binding in engine.bindings:
-            workload = binding.workload.for_batch(8)
+            workload = for_batch(binding.workload, 8)
             for kernel in binding.kernels:
-                cached = model.kernel_cost(
-                    kernel, workload, 921.6, sm_fraction=0.5
+                want = kernel_cost(
+                    engine.device, kernel, workload, 921.6, sm_fraction=0.5
                 )
-                again = model.kernel_cost(
+                cached = model.kernel_cost(
                     kernel, workload, 921.6, sm_fraction=0.5
                 )
                 with caches_disabled():
                     plain = model.kernel_cost(
                         kernel, workload, 921.6, sm_fraction=0.5
                     )
-                assert cached == plain
-                assert again == plain
+                for got in (cached, plain):
+                    assert [
+                        got.launch_us, got.compute_us, got.bandwidth_us,
+                        got.latency_us, got.total_us,
+                    ] == [
+                        want.launch_us, want.compute_us, want.bandwidth_us,
+                        want.latency_us, want.total_us,
+                    ]
 
     def test_distinct_keys_do_not_collide(self):
         clear_caches()

@@ -12,13 +12,18 @@ of any single-kernel binding.
 
 The merge decider, the layer math and the dataflow gate did not change
 when the pipelines were folded, so they are inherited from the live
-:class:`~repro.engine.builder.EngineBuilder`.  ``tests.engine
+:class:`~repro.engine.builder.EngineBuilder`.  Tactic auctions and
+merge decisions run on :class:`ReferenceTacticSelector`, which times
+candidates one at a time with the scalar cost formula of
+:mod:`tests.hardware.reference_timeline`, as the selector did before
+auctions were priced through the cost table.  ``tests.engine
 .build_oracle`` compares the two builders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from repro.engine.builder import (
     _stored_weight_bytes,
 )
 from repro.engine.engine import Engine, LayerBinding
-from repro.engine.kernels import DEFAULT_CATALOG, KernelCatalog
+from repro.engine.kernels import DEFAULT_CATALOG, KernelCatalog, KernelSpec
 from repro.engine.passes import (
     CalibrationCache,
     PassReport,
@@ -42,7 +47,7 @@ from repro.engine.passes import (
     plan_quantization,
     remove_dead_layers,
 )
-from repro.engine.tactics import TacticSelector
+from repro.engine.tactics import TacticChoice, TacticSelector
 from repro.engine.timing_cache import TIMING_CACHE_LOOKUP_US, TimingCache
 from repro.graph.ir import DataType, Graph
 from repro.graph.partition import (
@@ -52,7 +57,7 @@ from repro.graph.partition import (
 )
 from repro.graph.shapes import infer_shapes
 from repro.hardware.specs import DeviceSpec
-from repro.hardware.workload import layer_workload
+from repro.hardware.workload import LayerWorkload, layer_workload
 from repro.lint.invariants import PassInvariantGuard
 from repro.runtime.math_config import LayerMath, MathConfig
 from repro.runtime.providers import (
@@ -63,6 +68,111 @@ from repro.runtime.providers import (
     resolve_providers,
 )
 from repro.telemetry.bus import BUS, SpanKind
+
+from tests.hardware.reference_timeline import kernel_cost, left_to_right_sum
+
+
+class ReferenceTacticSelector(TacticSelector):
+    """:class:`TacticSelector` as it timed candidates before auctions
+    were priced through the cost table: one scalar cost and one
+    measurement per candidate, and the merge decision's split side
+    added left to right."""
+
+    def measure_kernel(
+        self, kernel: KernelSpec, workload: LayerWorkload
+    ) -> Tuple[float, float]:
+        """(noisy measured time, true model time) in microseconds."""
+        true_us = kernel_cost(
+            self.device, kernel, workload, self.clock_mhz
+        ).total_us
+        if self.timing_cache is not None:
+            cached = self.timing_cache.lookup(kernel.name, workload)
+            if cached is not None:
+                self.cache_hits += 1
+                return cached, true_us
+        self.fresh_measurements += 1
+        samples = true_us * (
+            1.0
+            + self.timing_noise
+            * self._rng.standard_normal(self.timing_repeats)
+        )
+        measured = float(np.clip(samples, true_us * 0.5, None).mean())
+        if self.timing_cache is not None:
+            self.timing_cache.store(kernel.name, workload, measured)
+        return measured, true_us
+
+    def choose(
+        self,
+        layer_name: str,
+        workload: LayerWorkload,
+        precisions: Sequence[DataType],
+        catalog: KernelCatalog,
+    ) -> TacticChoice:
+        candidates = catalog.candidates(
+            workload.category, workload.gemm_k, precisions
+        )
+        if self.workspace_limit_bytes is not None:
+            fitting = [
+                k for k in candidates
+                if k.workspace_bytes(workload) <= self.workspace_limit_bytes
+            ]
+            candidates = fitting or [
+                min(candidates,
+                    key=lambda k: k.workspace_bytes(workload))
+            ] if candidates else []
+        if not candidates:
+            raise LookupError(
+                f"no kernel in catalog for category {workload.category!r} "
+                f"(layer {layer_name!r})"
+            )
+        best: Optional[TacticChoice] = None
+        fresh_before = self.fresh_measurements
+        for kernel in candidates:
+            measured, true_us = self.measure_kernel(kernel, workload)
+            if best is None or measured < best.measured_us:
+                best = TacticChoice(
+                    layer_name=layer_name,
+                    kernel=kernel,
+                    measured_us=measured,
+                    true_us=true_us,
+                    candidates_timed=len(candidates),
+                    candidates_measured=0,  # patched below
+                )
+        assert best is not None
+        best = dataclasses.replace(
+            best,
+            candidates_measured=self.fresh_measurements - fresh_before,
+        )
+        if BUS.active:
+            BUS.emit(
+                SpanKind.TACTIC_AUCTION,
+                layer_name,
+                dur_us=best.measured_us,
+                kernel=best.kernel.name,
+                measured_us=best.measured_us,
+                true_us=best.true_us,
+                candidates=best.candidates_timed,
+            )
+        return best
+
+    def merge_is_faster(
+        self,
+        group_workloads: List[LayerWorkload],
+        merged_workload: LayerWorkload,
+        precisions: Sequence[DataType],
+        catalog: KernelCatalog,
+    ) -> bool:
+        def best_time(workload: LayerWorkload) -> float:
+            cands = catalog.candidates(
+                workload.category, workload.gemm_k, precisions
+            )
+            if not cands:
+                return float("inf")
+            return min(self.measure_kernel(k, workload)[0] for k in cands)
+
+        merged_time = best_time(merged_workload)
+        split_time = left_to_right_sum(best_time(w) for w in group_workloads)
+        return merged_time < split_time
 
 
 class ReferenceEngineBuilder(EngineBuilder):
@@ -87,7 +197,7 @@ class ReferenceEngineBuilder(EngineBuilder):
             timing_cache = TimingCache.load_or_cold(
                 cfg.timing_cache_path, self.device
             )
-        selector = TacticSelector(
+        selector = ReferenceTacticSelector(
             self.device,
             clock_mhz=self.device.max_gpu_clock_mhz,
             rng=rng,
@@ -259,7 +369,7 @@ def build_partitioned_engine(
     timing_cache = cfg.timing_cache
     if timing_cache is None and cfg.timing_cache_path is not None:
         timing_cache = TimingCache.load_or_cold(cfg.timing_cache_path, device)
-    selector = TacticSelector(
+    selector = ReferenceTacticSelector(
         device,
         clock_mhz=device.max_gpu_clock_mhz,
         rng=rng,

@@ -145,6 +145,52 @@ class TestTacticSelector:
         )
 
 
+class TestHostIndependentMerges:
+    @pytest.mark.parametrize("model", ["googlenet", "inception_v4"])
+    def test_builds_do_not_depend_on_builtin_sum(self, model, monkeypatch):
+        """Merge decisions over three or more sibling convolutions add
+        the split side's best times left to right, so a build with
+        builtin ``sum()`` compensated, as Python 3.12+ computes it,
+        binds the same engine and records the same build spans."""
+        import builtins
+
+        from repro.analysis.engines import device_by_name
+        from repro.models import build_model
+
+        from tests.engine.build_oracle import base_config, outcome
+        from tests.hardware.reference_timeline import neumaier_sum
+
+        network = build_model(model, pretrained=False)
+        device = device_by_name("NX")
+        config = base_config(network, PrecisionMode.FP16, seed=7)
+        sequential = outcome(EngineBuilder, network, device, config, "trt")
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", neumaier_sum)
+            compensated = outcome(
+                EngineBuilder, network, device, config, "trt"
+            )
+        assert compensated == sequential
+
+    def test_split_side_adds_left_to_right(self, monkeypatch):
+        import builtins
+
+        from tests.hardware.reference_timeline import neumaier_sum
+
+        # Best times whose left-to-right sum rounds back to 1.0 while a
+        # compensated sum keeps both halves of the last ulp.
+        best = {8: 1.0, 16: 2.0 ** -53, 24: 2.0 ** -53, 48: 1.0}
+        selector = _selector()
+        monkeypatch.setattr(
+            selector, "measure",
+            lambda kernels, w: ([best[w.gemm_m]], [best[w.gemm_m]]),
+        )
+        members = [_conv_workload(m=m) for m in (8, 16, 24)]
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert not selector.merge_is_faster(
+            members, _conv_workload(m=48), [DataType.FP16], DEFAULT_CATALOG
+        )
+
+
 class TestEngineBuilder:
     def _build(self, graph, device=XAVIER_NX, **kwargs):
         config = BuilderConfig(seed=kwargs.pop("seed", 11), **kwargs)

@@ -1,14 +1,17 @@
 """Reference timeline: the event-by-event simulator that the columnar
-:func:`repro.hardware.gpu.simulate_inference` replaced, kept as the
-oracle.
+:func:`repro.hardware.gpu.simulate_inference` replaced, and the scalar
+kernel cost formula that the cost table replaced, kept as the oracle.
 
-:func:`timeline_skeleton` prices every kernel with the scalar, memoized
-:meth:`~repro.hardware.cost.CostModel.kernel_cost` and branches per
-provider and per multi-kernel binding.  :func:`simulate_inference`
-applies jitter, profiler overhead and fault factors one event at a
-time, with separate plain, partitioned and hooked paths, and appends
-frozen :class:`~repro.hardware.gpu.KernelEvent` and
-:class:`~repro.hardware.gpu.MemcpyEvent` records.
+:func:`kernel_cost` is the scalar cost model as it last ran in ``src/``
+(``_compute_kernel_cost`` with its burst penalty and per-SM FLOP
+rate), without its memo, and :func:`for_batch` is the batch rule
+``LayerWorkload.for_batch`` applied before pricing.
+:func:`timeline_skeleton` prices every kernel with them one at a time
+and branches per provider and per multi-kernel binding.
+:func:`simulate_inference` applies jitter, profiler overhead and fault
+factors one event at a time, with separate plain, partitioned and
+hooked paths, and appends frozen :class:`~repro.hardware.gpu.KernelEvent`
+and :class:`~repro.hardware.gpu.MemcpyEvent` records.
 
 Three things differ from the code as it last ran in ``src/``:
 
@@ -21,20 +24,139 @@ Three things differ from the code as it last ran in ``src/``:
   so the oracle means the same on every interpreter.
 
 ``tests/hardware/test_timeline_oracle.py`` and
-``python -m tests.hardware.timeline_oracle`` compare the two.
+``python -m tests.hardware.timeline_oracle`` compare the two, and
+``tests/engine/reference_builder.py`` times tactic auctions with
+:func:`kernel_cost`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.cost import CostModel
+from repro.graph.ir import DataType
 from repro.hardware.gpu import KernelEvent, MemcpyEvent
 from repro.hardware.memory import MemcpyModel
 from repro.hardware.specs import DeviceSpec
+from repro.hardware.workload import LayerWorkload
+
+
+# ----------------------------------------------------------------------
+# The scalar kernel cost formula
+# ----------------------------------------------------------------------
+def _per_sm_flops_per_clock(device: DeviceSpec, kernel) -> float:
+    """Peak FLOPs issued per SM per clock for the kernel's math path."""
+    if kernel.uses_tensor_cores:
+        per_tc = 256.0 if kernel.precision is DataType.INT8 else 128.0
+        return device.tensor_cores_per_sm * per_tc
+    # CUDA cores: FMA = 2 FLOP/clock; packed fp16x2 doubles it.
+    scale = 2.0 if kernel.precision is DataType.FP16 else 1.0
+    return device.cores_per_sm * 2.0 * scale
+
+
+def _burst_penalty(dev: DeviceSpec, kernel) -> float:
+    granularity = getattr(kernel, "access_granularity_bytes", 64)
+    ratio = dev.min_burst_bytes / granularity
+    return ratio if ratio >= 4.0 else 1.0
+
+
+@dataclass(frozen=True)
+class ReferenceCost:
+    """Cost breakdown of one kernel invocation (microseconds)."""
+
+    launch_us: float
+    compute_us: float
+    bandwidth_us: float
+    latency_us: float
+
+    @property
+    def total_us(self) -> float:
+        return (
+            self.launch_us
+            + max(self.compute_us, self.bandwidth_us)
+            + self.latency_us
+        )
+
+
+def kernel_cost(
+    dev: DeviceSpec,
+    kernel,
+    workload: LayerWorkload,
+    clock_mhz: float,
+    sm_fraction: float = 1.0,
+) -> ReferenceCost:
+    """Cost of running ``kernel`` over ``workload`` at ``clock_mhz``."""
+    effective_sms = max(1.0, dev.sms * sm_fraction)
+    clock_hz = clock_mhz * 1e6
+    burst_penalty = _burst_penalty(dev, kernel)
+
+    if workload.gemm_k > 0:
+        # GEMM-shaped work: wave-quantized tile math.
+        blocks = (
+            math.ceil(workload.gemm_m / kernel.tile_m)
+            * math.ceil(workload.gemm_n / kernel.tile_n)
+            * kernel.split_k
+        )
+        concurrent = max(1, int(effective_sms) * kernel.blocks_per_sm)
+        waves = math.ceil(blocks / concurrent)
+        flops_per_block = (
+            2.0 * kernel.tile_m * kernel.tile_n
+            * workload.gemm_k / kernel.split_k
+        )
+        per_block_rate = (
+            _per_sm_flops_per_clock(dev, kernel)
+            * clock_hz / kernel.blocks_per_sm
+        )
+        compute_us = waves * flops_per_block / per_block_rate * 1e6
+        strides = math.ceil(
+            workload.gemm_k / kernel.split_k / kernel.prefetch_depth
+        )
+        latency_us = (
+            waves * strides * dev.dram_latency_ns * burst_penalty / 1e3
+        )
+    else:
+        # Pointwise-ish work: throughput-limited element math.
+        rate = (
+            _per_sm_flops_per_clock(dev, kernel)
+            * effective_sms * clock_hz
+        )
+        compute_us = workload.flops / rate * 1e6
+        latency_us = 4.0 * dev.dram_latency_ns * burst_penalty / 1e3
+
+    bw_gbps = dev.mem_bandwidth_gbps * kernel.bw_eff * sm_fraction
+    bandwidth_us = workload.total_bytes / (bw_gbps * 1e3)
+
+    return ReferenceCost(
+        launch_us=dev.kernel_launch_overhead_us,
+        compute_us=compute_us,
+        bandwidth_us=bandwidth_us,
+        latency_us=latency_us,
+    )
+
+
+def for_batch(workload: LayerWorkload, batch_size: int) -> LayerWorkload:
+    """The same layer's workload when ``batch_size`` samples run in one
+    invocation: FLOPs, activation bytes, output elements and the GEMM
+    N dimension scale; weight bytes and GEMM M and K do not.  Batch 1
+    returns ``workload`` itself."""
+    if batch_size == 1:
+        return workload
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return LayerWorkload(
+        flops=workload.flops * batch_size,
+        bytes_in=workload.bytes_in * batch_size,
+        bytes_w=workload.bytes_w,
+        bytes_out=workload.bytes_out * batch_size,
+        gemm_m=workload.gemm_m,
+        gemm_n=workload.gemm_n * batch_size,
+        gemm_k=workload.gemm_k,
+        elements_out=workload.elements_out * batch_size,
+        category=workload.category,
+    )
 
 
 def left_to_right_sum(values) -> float:
@@ -43,6 +165,28 @@ def left_to_right_sum(values) -> float:
     for value in values:
         total = total + value
     return total
+
+
+_BUILTIN_SUM = sum
+
+
+def neumaier_sum(iterable, start=0):
+    """Builtin ``sum()`` as Python 3.12 computes it: compensated over
+    floats, exact over everything else.  Tests patch it in for
+    ``builtins.sum`` to show a result does not depend on the
+    interpreter."""
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
 
 
 @dataclass
@@ -95,7 +239,6 @@ def timeline_skeleton(
         raise ValueError(
             f"mem_contention must be >= 1.0, got {mem_contention}"
         )
-    cost_model = CostModel(device)
     memcpy = MemcpyModel(device)
     upload: Optional[Tuple[int, int, float]] = None
     if include_engine_upload and weight_chunks:
@@ -109,7 +252,7 @@ def timeline_skeleton(
         inp = (single.bytes, single.total_us * mem_contention)
     kernels: List[Tuple[str, str, float, int]] = []
     for binding in bindings:
-        workload = binding.workload.for_batch(batch_size)
+        workload = for_batch(binding.workload, batch_size)
         spec = getattr(binding, "transfer", None)
         if spec is not None:
             xfer = memcpy.single(workload.bytes_out)
@@ -130,11 +273,8 @@ def timeline_skeleton(
 
             params = provider_cost_params(provider)
         for kernel in binding.kernels:
-            cost = cost_model.kernel_cost(
-                kernel,
-                workload,
-                clock_mhz,
-                sm_fraction=sm_fraction,
+            cost = kernel_cost(
+                device, kernel, workload, clock_mhz, sm_fraction
             )
             bw_us = cost.bandwidth_us * mem_contention
             if params is not None:

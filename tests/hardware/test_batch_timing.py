@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder
+from repro.engine.kernels import DEFAULT_CATALOG
+from repro.hardware.cost import CostTable, KernelColumns
 from repro.hardware.scheduler import UTILIZATION_CEILING, StreamScheduler
 from repro.hardware.specs import XAVIER_NX
 from repro.hardware.workload import LayerWorkload
+
+from tests.hardware.reference_timeline import for_batch, kernel_cost
+
+#: A tensor-core conv kernel with split-K, so the batch reaches the
+#: wave count, the strides and the bandwidth term.
+KERNEL = DEFAULT_CATALOG.by_name(
+    "trt_volta_h884cudnn_64x32_sliced1x2_ldg8_relu_exp_small_nhwc_tn_v1"
+)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +30,12 @@ def engine():
 
 
 class TestWorkloadForBatch:
-    def _workload(self):
+    """The cost table's batch arithmetic against the batch rule it
+    replaced (``for_batch`` in the timeline reference): a batch of B
+    prices a kernel exactly as the reference formula prices the
+    B-scaled workload."""
+
+    def _workload(self, gemm_k=9):
         return LayerWorkload(
             flops=1000.0,
             bytes_in=64,
@@ -28,31 +43,55 @@ class TestWorkloadForBatch:
             bytes_out=32,
             gemm_m=8,
             gemm_n=16,
-            gemm_k=9,
+            gemm_k=gemm_k,
             elements_out=128,
             category="conv",
         )
 
+    def _terms(self, workload, batch_size):
+        table = CostTable(KernelColumns(XAVIER_NX, [KERNEL]), workload)
+        launch, *columns = table.kernel_terms(1000.0, 1.0, batch_size)
+        return [launch] + [column.item() for column in columns]
+
+    def _reference(self, workload, batch_size):
+        cost = kernel_cost(
+            XAVIER_NX, KERNEL, for_batch(workload, batch_size), 1000.0
+        )
+        return [
+            cost.launch_us, cost.compute_us, cost.bandwidth_us,
+            cost.latency_us,
+        ]
+
     def test_batch_one_is_self(self):
-        w = self._workload()
-        assert w.for_batch(1) is w
+        for w in (self._workload(), self._workload(gemm_k=0)):
+            assert for_batch(w, 1) is w
+            assert self._terms(w, 1) == self._reference(w, 1)
 
     def test_linear_activation_scaling_amortized_weights(self):
+        for w in (self._workload(), self._workload(gemm_k=0)):
+            for batch in (2, 4, 7, 64):
+                assert self._terms(w, batch) == self._reference(w, batch)
         w = self._workload()
-        b = w.for_batch(4)
-        assert b.bytes_in == 4 * w.bytes_in
-        assert b.bytes_out == 4 * w.bytes_out
-        assert b.flops == 4 * w.flops
-        assert b.gemm_n == 4 * w.gemm_n
-        assert b.elements_out == 4 * w.elements_out
-        # Weights stream once per batched invocation.
-        assert b.bytes_w == w.bytes_w
-        assert b.gemm_m == w.gemm_m
-        assert b.gemm_k == w.gemm_k
+        # Activations scale with the batch; weights stream once per
+        # batched invocation.
+        _, _, one, _ = self._terms(w, 1)
+        _, _, four, _ = self._terms(w, 4)
+        assert four / one == pytest.approx(
+            (4 * (w.bytes_in + w.bytes_out) + w.bytes_w) / w.total_bytes
+        )
 
-    def test_rejects_nonpositive_batch(self):
+    def test_workload_bytes_match_the_reference(self, engine):
+        for batch in (1, 2, 8, 32):
+            assert engine.workload_bytes(batch) == sum(
+                for_batch(b.workload, batch).total_bytes
+                for b in engine.bindings
+            )
+
+    def test_rejects_nonpositive_batch(self, engine):
         with pytest.raises(ValueError, match="batch_size"):
-            self._workload().for_batch(0)
+            for_batch(self._workload(), 0)
+        with pytest.raises(ValueError, match="batch_size"):
+            engine.workload_bytes(0)
 
 
 class TestBatchedTiming:

@@ -11,6 +11,8 @@ from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
 from repro.profiling.nvprof import Nvprof
 from repro.profiling.tegrastats import Tegrastats
 
+from tests.hardware.reference_timeline import left_to_right_sum, neumaier_sum
+
 
 @pytest.fixture(scope="module")
 def engine():
@@ -179,26 +181,6 @@ SUM_MODELS = (
 )
 
 
-_BUILTIN_SUM = sum
-
-
-def neumaier_sum(iterable, start=0):
-    """Builtin ``sum()`` as Python 3.12 computes it: compensated over
-    floats, exact over everything else."""
-    items = list(iterable)
-    if not any(isinstance(x, float) for x in items):
-        return _BUILTIN_SUM(items, start)
-    total, compensation = float(start), 0.0
-    for x in items:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation
-
-
 class TestHostIndependentTotals:
     def _totals(self, farm):
         out = []
@@ -224,8 +206,6 @@ class TestHostIndependentTotals:
         ]
 
     def test_totals_are_left_to_right_sums(self, farm):
-        from tests.hardware.reference_timeline import left_to_right_sum
-
         ctx = farm.engine("inception_v4", "NX").create_execution_context()
         timing = ctx.time_inference(rng=np.random.default_rng(5))
         assert timing.kernel_us == left_to_right_sum(

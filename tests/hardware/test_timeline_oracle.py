@@ -1,7 +1,8 @@
 """The columnar timeline agrees bit for bit with the event-by-event
 simulator of :mod:`tests.hardware.reference_timeline`
-(:mod:`tests.hardware.timeline_oracle`), and the cost table's terms
-agree bit for bit with the scalar cost model.
+(:mod:`tests.hardware.timeline_oracle`), the cost table's terms agree
+bit for bit with the reference's scalar cost formula, and so do the
+tactic auctions priced through it.
 
 Generated operating points cover clocks on and off the DVFS ladder,
 SM shares, batches, DRAM contention, upload on and off, jitter zero
@@ -10,18 +11,29 @@ TRT, cuda and cpu provider, multi-kernel detection and partitioned
 engines.  CI runs the whole zoo at every supported clock.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.engines import EngineFarm
 from repro.engine.engine import LayerBinding
-from repro.engine.kernels import KernelSpec
+from repro.engine.kernels import DEFAULT_CATALOG, KernelSpec
+from repro.engine.tactics import TacticSelector
+from repro.engine.timing_cache import TimingCache
 from repro.graph.ir import DataType
-from repro.hardware.cost import CostTable, _compute_kernel_cost
+from repro.hardware.cost import EngineCostTable
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
 from repro.hardware.workload import LayerWorkload
 
-from tests.hardware.timeline_oracle import mismatches, partitioned_engine
+from tests.engine.reference_builder import ReferenceTacticSelector
+from tests.hardware.reference_timeline import for_batch, kernel_cost
+from tests.hardware.timeline_oracle import (
+    auction_mismatches,
+    mismatches,
+    partitioned_engine,
+)
 
 DEVICES = {"NX": XAVIER_NX, "AGX": XAVIER_AGX}
 
@@ -133,12 +145,12 @@ def test_cost_table_terms_equal_scalar_costs(
         LayerBinding(f"L{i}", [kernel], workload, tactic=None)
         for i, (kernel, workload) in enumerate(rows)
     ]
-    launch, compute, bandwidth, latency = CostTable(
+    launch, compute, bandwidth, latency = EngineCostTable(
         bindings, device
     ).kernel_terms(clock_mhz, sm_fraction, batch_size)
     for i, (kernel, workload) in enumerate(rows):
-        want = _compute_kernel_cost(
-            device, kernel, workload.for_batch(batch_size), clock_mhz,
+        want = kernel_cost(
+            device, kernel, for_batch(workload, batch_size), clock_mhz,
             sm_fraction,
         )
         got = (launch, compute[i].item(), bandwidth[i].item(), latency[i].item())
@@ -149,3 +161,85 @@ def test_cost_table_terms_equal_scalar_costs(
                 want.latency_us,
             )
         ], i
+
+
+# ----------------------------------------------------------------------
+# tactic auctions vs one-at-a-time scalar pricing
+# ----------------------------------------------------------------------
+#: (category, precision menus) pairs the builder auctions.
+MENUS = [
+    (category, menu)
+    for category in sorted({k.category for k in DEFAULT_CATALOG})
+    if category != "detection"
+    for menu in (
+        (DataType.FP32,),
+        (DataType.FP16, DataType.FP32),
+        (DataType.INT8, DataType.FP32),
+        (DataType.INT8, DataType.FP16, DataType.FP32),
+    )
+]
+
+layer_workloads = st.builds(
+    LayerWorkload,
+    flops=st.floats(0.0, 1e11),
+    bytes_in=st.integers(0, 10**8),
+    bytes_w=st.integers(0, 10**8),
+    bytes_out=st.integers(0, 10**8),
+    gemm_m=st.integers(1, 4096),
+    gemm_n=st.integers(1, 10**5),
+    gemm_k=st.integers(0, 10**4) | st.sampled_from((0, 8, 32, 64, 128)),
+    elements_out=st.integers(1, 10**6),
+    category=st.just("conv"),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    menu=st.sampled_from(MENUS),
+    workload=layer_workloads,
+    device=st.sampled_from((XAVIER_NX, XAVIER_AGX)),
+    clock_mhz=st.sampled_from(XAVIER_NX.supported_gpu_clocks_mhz)
+    | st.floats(50.0, 2000.0),
+    noise=st.sampled_from((0.0, 0.08)) | st.floats(0.0, 0.5),
+    repeats=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    cached=st.booleans(),
+)
+def test_auctions_match_scalar_pricing(
+    menu, workload, device, clock_mhz, noise, repeats, seed, cached
+):
+    category, precisions = menu
+    workload = dataclasses.replace(workload, category=category)
+    candidates = DEFAULT_CATALOG.candidates(
+        category, workload.gemm_k, precisions
+    )
+    assert auction_mismatches(device, clock_mhz, candidates, workload) == []
+    # The whole auction, noise and timing cache included: the same
+    # winner, times, counts and rng stream as one-at-a-time timing.
+    sides = []
+    for selector_cls in (TacticSelector, ReferenceTacticSelector):
+        cache = TimingCache(device.name) if cached else None
+        selector = selector_cls(
+            device, clock_mhz, np.random.default_rng(seed),
+            timing_noise=noise, timing_repeats=repeats, timing_cache=cache,
+        )
+        choice = selector.choose("l", workload, precisions, DEFAULT_CATALOG)
+        again = selector.choose("l", workload, precisions, DEFAULT_CATALOG)
+        merge = selector.merge_is_faster(
+            [workload, workload], workload, precisions, DEFAULT_CATALOG
+        )
+        sides.append((
+            [
+                (c.kernel.name, c.measured_us.hex(), c.true_us.hex(),
+                 c.candidates_timed, c.candidates_measured)
+                for c in (choice, again)
+            ],
+            merge,
+            selector.fresh_measurements,
+            selector.cache_hits,
+            selector._rng.bit_generator.state,
+            None if cache is None else sorted(
+                (k, v.hex()) for k, v in cache.entries.items()
+            ),
+        ))
+    assert sides[0] == sides[1]

@@ -14,10 +14,18 @@ generator, nvprof instance and fault injector, and compares
 * nvprof's kernel and memcpy summaries against the same aggregation
   over the reference events.
 
-Tier-1 runs generated operating points on a few engines
-(``tests/hardware/test_timeline_oracle.py``); CI runs all 13 zoo
-models on NX and AGX as trt, cuda and cpu engines plus a partitioned
-engine, at every supported clock::
+The same scalar formula is the oracle for tactic auctions:
+:func:`auction_mismatches` prices one candidate list against one
+workload through the live selector (one vector evaluation of the cost
+table) and one candidate at a time with the reference formula, and
+compares every cost term and total.
+
+Tier-1 runs generated operating points on a few engines and generated
+auctions (``tests/hardware/test_timeline_oracle.py``); CI runs all 13
+zoo models on NX and AGX as trt, cuda and cpu engines plus a
+partitioned engine, at every supported clock, then every (candidate
+list, workload) pair that the 13 models' builds price on NX and AGX at
+fp32, fp16 and int8, at every supported clock::
 
     PYTHONPATH=src python -m tests.hardware.timeline_oracle
 """
@@ -30,16 +38,21 @@ import math
 import struct
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
 from repro.analysis.engines import EngineFarm, device_by_name
 from repro.engine.builder import BuilderConfig, EngineBuilder, PrecisionMode
 from repro.engine.engine import Engine
+from repro.engine.kernels import KernelSpec
+from repro.engine.tactics import TacticSelector
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultScenario
+from repro.hardware.cost import CostTable, kernel_columns
 from repro.hardware.gpu import simulate_inference
 from repro.hardware.specs import DeviceSpec
-from repro.models import list_models
+from repro.hardware.workload import LayerWorkload
+from repro.models import MODEL_REGISTRY, build_model, list_models
 from repro.profiling.nvprof import Nvprof
 
 from tests.conftest import make_small_cnn
@@ -232,6 +245,72 @@ def operating_points(
                         index += 1
 
 
+def auction_mismatches(
+    device: DeviceSpec,
+    clock_mhz: float,
+    kernels: Sequence[KernelSpec],
+    workload: LayerWorkload,
+) -> List[str]:
+    """The candidates whose price differs between the live auction (one
+    vector evaluation of the cost table) and the reference formula
+    (one candidate at a time) in any bit of a cost term or the total
+    (empty when they all agree)."""
+    selector = TacticSelector(device, clock_mhz, np.random.default_rng(0))
+    totals = selector.measure(kernels, workload)[1]
+    table = CostTable(kernel_columns(device, kernels), workload)
+    launch, *columns = table.kernel_terms(clock_mhz, 1.0, 1)
+    got = zip(*(column.tolist() for column in columns), totals)
+    bad = []
+    for kernel, (compute, bandwidth, latency, total) in zip(kernels, got):
+        want = reference_timeline.kernel_cost(
+            device, kernel, workload, clock_mhz
+        )
+        if [_bits(x) for x in (launch, compute, bandwidth, latency, total)] != [
+            _bits(x)
+            for x in (
+                want.launch_us, want.compute_us, want.bandwidth_us,
+                want.latency_us, want.total_us,
+            )
+        ]:
+            bad.append(kernel.name)
+    return bad
+
+
+#: (device, candidate kernels, workload) of one priced candidate list.
+Auction = Tuple[DeviceSpec, Tuple[KernelSpec, ...], LayerWorkload]
+
+
+def build_auctions(
+    model: str,
+    devices: Sequence[str],
+    precisions: Sequence[PrecisionMode] = (
+        PrecisionMode.FP32, PrecisionMode.FP16, PrecisionMode.INT8,
+    ),
+    seed: int = 7,
+) -> List[Auction]:
+    """Every distinct (candidate list, workload) pair that seeded builds
+    of ``model`` price on ``devices`` at ``precisions``: tactic auctions
+    and both sides of every merge decision (INT8 builds calibrated)."""
+    from tests.engine.build_oracle import base_config
+
+    network = build_model(model, pretrained=False)
+    input_name = MODEL_REGISTRY[model].input_name
+    priced: Dict[Tuple, Auction] = {}
+    measure = TacticSelector.measure
+
+    def recording(self, kernels, workload):
+        key = (self.device.name, tuple(k.name for k in kernels), workload)
+        priced.setdefault(key, (self.device, tuple(kernels), workload))
+        return measure(self, kernels, workload)
+
+    with mock.patch.object(TacticSelector, "measure", recording):
+        for name in devices:
+            for precision in precisions:
+                config = base_config(network, precision, seed, input_name)
+                EngineBuilder(device_by_name(name), config).build(network)
+    return list(priced.values())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -265,7 +344,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"timeline oracle: {failed} of {engines} engines differ "
         f"({checked} timelines compared)"
     )
-    return 1 if failed else 0
+    priced = differ = 0
+    for model in args.models.split(","):
+        auctions = build_auctions(model, args.devices.split(","))
+        bad = 0
+        for device, kernels, workload in auctions:
+            for clock in device.supported_gpu_clocks_mhz:
+                for name in auction_mismatches(device, clock, kernels, workload):
+                    bad += 1
+                    print(f"{model} {device.name} {clock} MHz {name}: MISMATCH")
+            priced += len(kernels) * len(device.supported_gpu_clocks_mhz)
+        differ += bad
+        print(f"{model:26s} {len(auctions):5d} candidate lists: "
+              + (f"{bad} prices differ" if bad else "ok"))
+    print(
+        f"auction oracle: {differ} of {priced} candidate prices differ"
+    )
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

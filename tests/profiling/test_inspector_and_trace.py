@@ -67,6 +67,30 @@ class TestInspector:
             summed, abs=0.1
         )
 
+    @pytest.mark.parametrize(
+        "model, provider",
+        [("pednet", "trt"), ("mobilenet_v1", "trt"), ("googlenet", "cuda"),
+         ("mtcnn", "cpu"), ("ssd_inception_v2", "cuda,trt")],
+    )
+    def test_predictions_are_what_the_timeline_bills(self, model, provider):
+        # Each kernel's prediction is its noiseless timeline duration,
+        # multi-kernel detection bindings and provider scaling included.
+        from repro.analysis.engines import EngineFarm
+
+        farm = EngineFarm(pretrained=False, base_seed=3, provider=provider)
+        engine = farm.engine(model, "NX")
+        report = inspect_engine(engine, clock_mhz=599.0)
+        timing = engine.create_execution_context().time_inference(
+            clock_mhz=599.0, include_engine_upload=False, jitter=0.0
+        )
+        predicted = [
+            k["predicted_us"] for e in report["layers"] for k in e["kernels"]
+        ]
+        assert predicted == [
+            round(d, 3) for d in timing.kernel_durations.tolist()
+        ]
+        assert report["predicted_kernel_us"] == round(timing.kernel_us, 3)
+
 
 class TestChromeTrace:
     def _timing(self, engine):
